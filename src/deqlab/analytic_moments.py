@@ -10,12 +10,13 @@ Conventions used throughout:
   of an output ``z = M x`` with unit-variance Gaussian input is
   ``2 * sigma_x^4 * T / N``.
 
-All functions are pure and cheap; series are summed with exact-integer
-Catalan coefficients and cross-checked against their closed forms.
+All functions are pure and cheap; series are summed term by term and
+cross-checked against their closed forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -124,22 +125,32 @@ def catalan_generating(x: float) -> float:
 _SERIES_CAP = 200_000
 
 
-def _sum_series(term, v: float, rel_cutoff: float = 1e-14) -> float:
-    """Sum ``term(i) * v**i`` until terms drop below rel_cutoff of the total."""
+def _sum_series(terms, v: float, rel_cutoff: float = 1e-14) -> float:
+    """Sum the series at scale v until a term drops below rel_cutoff of the total."""
     total = 0.0
-    vi = 1.0
-    for i in range(_SERIES_CAP):
-        t = term(i) * vi
+    for i, t in zip(range(_SERIES_CAP), terms):
         total += t
         if i > 4 and abs(t) < rel_cutoff * max(abs(total), 1e-300):
             return total
-        vi *= v
     raise RuntimeError(f"series did not converge within {_SERIES_CAP} terms at scale {v}")
 
 
 def _goe_gram_trace_series(v: float) -> float:
-    """``sum_i (2i+1) C_i V^i`` summed term by term."""
-    return _sum_series(lambda i: (2 * i + 1) * catalan(i), v)
+    """``sum_i (2i+1) C_i V^i`` summed term by term.
+
+    ``C_i V^i`` is carried as one float through the ratio
+    ``C_{i+1} / C_i = 2 (2i+1) / (i+2)``: the exact integer C_i no longer
+    converts to a float past i ~ 510, and V^i alone underflows, while near
+    threshold the series needs hundreds of terms (about 630 at V = 0.2375).
+    """
+
+    def terms():
+        c = 1.0
+        for i in itertools.count():
+            yield (2 * i + 1) * c
+            c *= 2.0 * (2 * i + 1) / (i + 2) * v
+
+    return _sum_series(terms(), v)
 
 
 def gram_trace_factor_theory(family: Family, weight_mode: WeightMode, v: float) -> float:
@@ -197,7 +208,14 @@ def length_variance_theory(family: Family, weight_mode: WeightMode, v: float) ->
 def tied_orthogonal_series(v: float, rel_cutoff: float = 1e-14) -> float:
     """``sum_i (i+1)^2 V^i``, the series route to the tied-orthogonal T(V)."""
     _check_subcritical(Family.ORTHOGONAL, WeightMode.TIED, v)
-    return _sum_series(lambda i: (i + 1) ** 2, v, rel_cutoff)
+
+    def terms():
+        vi = 1.0
+        for i in itertools.count():
+            yield (i + 1) ** 2 * vi
+            vi *= v
+
+    return _sum_series(terms(), v, rel_cutoff)
 
 
 def goe_tied_integral(v: float) -> float:

@@ -1,8 +1,7 @@
 """Command-line experiment driver.
 
-``deqlab <experiment> [--config PATH] [--n N] [--seeds K] [--seed S]
-[--families a,b,c] [--grid lo:hi:steps(:log)] [--out PATH] [--threads T]
-[--estimator exact|hutchinson]``
+``deqlab <experiment> [--config PATH] [--<key> VALUE ...]``: every key of a
+config file is also a flag, with dashes for underscores.
 
 Configs are flat ``key=value`` text files; command-line flags override file
 values.  Every run writes one CSV (UTF-8, header row, '.' decimal, one row
@@ -22,22 +21,11 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analytic_moments import WeightMode, critical_scale
-from .ensembles import Family
-from .experiments import (
-    ALL_FAMILIES,
-    CSV_COLUMNS,
-    EXPERIMENTS,
-    ResultRow,
-    SweepSettings,
-)
-from .nonlinear_deq import NONLINEARITIES
+from .experiments import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig, ResultRow
 
 DEFAULT_N = {"fig1": 2000}
 DEFAULT_SEEDS = {
@@ -50,6 +38,9 @@ DEFAULT_SEEDS = {
     "train-probe": 10,
 }
 
+# config-file key -> ExperimentConfig field, for every settable field
+SETTINGS = {f.name: f for f in fields(ExperimentConfig) if "parse" in f.metadata}
+
 
 class ConfigError(ValueError):
     """Aggregated, line-numbered configuration problems."""
@@ -57,72 +48,6 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    n: int = 1000
-    seed: int = 0
-    seeds: int = 20
-    families: tuple[Family, ...] = ALL_FAMILIES
-    grid: tuple[float, ...] | None = None
-    out: str = ""
-    threads: int = 1
-    estimator: str = "exact"
-    weight_mode: str = "both"
-    phi: str = "hard_tanh"
-    lr: float = 0.05
-    steps: int = 40
-    dataset_size: int = 32
-    v: float | None = None
-    defaulted: tuple[str, ...] = field(default_factory=tuple)
-
-    def as_manifest_dict(self) -> dict:
-        d = asdict(self)
-        d["families"] = [f.value for f in self.families]
-        return d
-
-
-_SCHEMA = {
-    "experiment": str,
-    "n": int,
-    "seed": int,
-    "seeds": int,
-    "families": str,
-    "grid": str,
-    "out": str,
-    "threads": int,
-    "estimator": str,
-    "weight_mode": str,
-    "phi": str,
-    "lr": float,
-    "steps": int,
-    "dataset_size": int,
-    "v": float,
-}
-
-
-def parse_grid(text: str) -> tuple[float, ...]:
-    """``lo:hi:steps`` or ``lo:hi:steps:log`` into an ascending grid."""
-    parts = text.split(":")
-    if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
-        raise ValueError(f"grid must be lo:hi:steps or lo:hi:steps:log, got {text!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 1 or hi < lo:
-        raise ValueError(f"grid needs hi >= lo and steps >= 1, got {text!r}")
-    if steps == 1:
-        return (lo,)
-    if len(parts) == 4:
-        if lo <= 0:
-            raise ValueError("log grid requires lo > 0")
-        return tuple(float(g) for g in np.geomspace(lo, hi, steps))
-    return tuple(float(g) for g in np.linspace(lo, hi, steps))
-
-
-def parse_families(text: str) -> tuple[Family, ...]:
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(Family(name) for name in names)
 
 
 def read_config_file(path: str) -> dict[str, tuple[int, str]]:
@@ -139,9 +64,6 @@ def read_config_file(path: str) -> dict[str, tuple[int, str]]:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA:
-            errors.append(f"line {lineno}: unknown key {key!r}")
-            continue
         if key in entries:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
@@ -152,8 +74,8 @@ def read_config_file(path: str) -> dict[str, tuple[int, str]]:
 
 
 def validate_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
-    """Merge file + overrides into a checked config; raises ConfigError."""
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    """Merge file + overrides (flag values, None when unset) into a checked
+    config; raises ConfigError."""
     errors: list[str] = []
     raw: dict[str, tuple[int | None, str]] = {}
     if path is not None:
@@ -163,24 +85,24 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
             errors.extend(exc.errors)
         except OSError as exc:
             raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
-    for key, value in overrides.items():
-        raw[key] = (None, str(value))
-
-    def where(lineno) -> str:
-        return f"line {lineno}: " if lineno is not None else ""
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            raw[key] = (None, str(value))
 
     values: dict[str, object] = {}
     for key, (lineno, text) in raw.items():
-        caster = _SCHEMA[key]
+        where = f"line {lineno}: " if lineno is not None else ""
+        if key not in SETTINGS:
+            errors.append(f"{where}unknown key {key!r}")
+            continue
+        meta = SETTINGS[key].metadata
         try:
-            if key == "families":
-                values[key] = parse_families(text)
-            elif key == "grid":
-                values[key] = parse_grid(text)
-            else:
-                values[key] = caster(text)
+            values[key] = meta["parse"](text)
         except (ValueError, KeyError) as exc:
-            errors.append(f"{where(lineno)}bad value for {key!r}: {exc}")
+            errors.append(f"{where}bad value for {key!r}: {exc}")
+            continue
+        if meta["choices"] and values[key] not in meta["choices"]:
+            errors.append(f"{where}{key} must be one of {', '.join(meta['choices'])}, got {text!r}")
     experiment = values.get("experiment")
     if experiment is None:
         errors.append("missing required key 'experiment'")
@@ -207,32 +129,14 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         errors.append(f"seeds must be >= 0, got {config.seeds}")
     if config.experiment != "moments" and config.seeds == 0:
         errors.append("seeds must be >= 1 for Monte-Carlo experiments")
+    if config.experiment == "moments" and config.seeds == 1:
+        errors.append("moments needs seeds = 0 (theory only) or >= 2 (a variance needs two seeds)")
     if config.seed < 0:
         errors.append(f"seed must be >= 0, got {config.seed}")
     if config.threads < 1:
         errors.append(f"threads must be >= 1, got {config.threads}")
-    if config.estimator not in ("exact", "hutchinson"):
-        errors.append(f"estimator must be exact or hutchinson, got {config.estimator!r}")
-    if config.weight_mode not in ("tied", "untied", "both"):
-        errors.append(f"weight_mode must be tied, untied or both, got {config.weight_mode!r}")
-    if config.phi not in NONLINEARITIES:
-        errors.append(f"phi must be one of {sorted(NONLINEARITIES)}, got {config.phi!r}")
     if not config.families:
         errors.append("families must not be empty")
-    if config.v is not None:
-        modes = (
-            (WeightMode.TIED, WeightMode.UNTIED)
-            if config.weight_mode == "both"
-            else (WeightMode(config.weight_mode),)
-        )
-        for family in config.families:
-            for mode in modes:
-                vc = critical_scale(family, mode)
-                if config.v >= vc:
-                    errors.append(
-                        f"v={config.v} is at or beyond the critical scale {vc} "
-                        f"for {family.value}/{mode.value}"
-                    )
     if config.experiment in ("fig1", "moments") and config.grid is not None:
         bad = [g for g in config.grid if not 0.0 < g <= 1.0]
         if bad:
@@ -240,32 +144,6 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
     if errors:
         raise ConfigError(errors)
     return config
-
-
-def _settings_from_config(config: ExperimentConfig) -> SweepSettings:
-    extras: dict = {}
-    if config.experiment == "moments":
-        if config.weight_mode != "both":
-            extras["weight_modes"] = (WeightMode(config.weight_mode),)
-        if config.v is not None:
-            extras["explicit_v"] = config.v
-    grid = config.grid
-    if config.experiment == "moments" and config.v is not None and grid is None:
-        # single-scale dump expressed as a one-point delta grid per family
-        grid = None
-    return SweepSettings(
-        n=config.n,
-        seeds=config.seeds,
-        seed=config.seed,
-        families=config.families,
-        grid=grid,
-        estimator=config.estimator,
-        phi=NONLINEARITIES[config.phi],
-        lr=config.lr,
-        steps=config.steps,
-        dataset_size=config.dataset_size,
-        extras=extras,
-    )
 
 
 def _parallel_map(threads: int):
@@ -313,9 +191,7 @@ def write_manifest(path: Path, config: ExperimentConfig, rows: list[ResultRow], 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     started = time.monotonic()
-    settings = _settings_from_config(config)
-    runner = EXPERIMENTS[config.experiment]
-    rows = runner(settings, parallel_map=_parallel_map(config.threads))
+    rows = EXPERIMENTS[config.experiment](config, parallel_map=_parallel_map(config.threads))
     mc_rows = [r for r in rows if r.seeds]
     failed = [r for r in mc_rows if r.diverged is not None and r.diverged >= r.seeds]
     out = Path(config.out)
@@ -341,45 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment to run")
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--n", type=int, help="matrix dimension (default 1000; fig1 2000)")
-    parser.add_argument("--seeds", type=int, help="replicates per cell (per-experiment default)")
-    parser.add_argument("--seed", type=int, help="base seed for all derived streams (default 0)")
-    parser.add_argument("--families", help="comma list from random,goe,orthogonal (default all)")
-    parser.add_argument(
-        "--grid",
-        help="lo:hi:steps or lo:hi:steps:log; deltas for fig1/moments, sqrt(V) for fig2-4",
-    )
-    parser.add_argument("--out", help="CSV output path (default <experiment>.csv)")
-    parser.add_argument("--threads", type=int, help="cell-level worker threads (default 1)")
-    parser.add_argument("--estimator", choices=("exact", "hutchinson"), help="trace estimator")
-    parser.add_argument("--weight-mode", dest="weight_mode", choices=("tied", "untied", "both"))
-    parser.add_argument("--phi", choices=sorted(NONLINEARITIES), help="nonlinearity (default hard_tanh)")
-    parser.add_argument("--lr", type=float, help="train-probe learning rate (default 0.05)")
-    parser.add_argument("--steps", type=int, help="train-probe descent steps (default 40)")
-    parser.add_argument("--v", type=float, help="explicit scale for theory-only moment queries")
+    for name, setting in SETTINGS.items():
+        if name != "experiment":
+            flag = "--" + name.replace("_", "-")
+            parser.add_argument(flag, dest=name, choices=setting.metadata["choices"], help=setting.metadata["help"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "experiment": args.experiment,
-        "n": args.n,
-        "seeds": args.seeds,
-        "seed": args.seed,
-        "families": args.families,
-        "grid": args.grid,
-        "out": args.out,
-        "threads": args.threads,
-        "estimator": args.estimator,
-        "weight_mode": args.weight_mode,
-        "phi": args.phi,
-        "lr": args.lr,
-        "steps": args.steps,
-        "v": args.v,
-    }
+    flags = vars(build_parser().parse_args(argv))
     try:
-        config = validate_config(args.config, overrides)
+        config = validate_config(flags.pop("config"), flags)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -9,7 +9,7 @@ execution order and thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from . import freeprob, numerics
 from .analytic_moments import (
     MomentQuery,
+    MomentReport,
     Quantity,
     WeightMode,
     catalan_generating,
@@ -30,8 +31,8 @@ from .linear_deq import (
     estimate_moments,
 )
 from .nonlinear_deq import (
-    HARD_TANH,
-    Nonlinearity,
+    NONLINEARITIES,
+    SIGMA_X_SQ,
     iterate_h,
     predict_critical_v,
     radius_empirical,
@@ -97,60 +98,85 @@ class ResultRow:
         return [fmt(getattr(self, col)) for col in CSV_COLUMNS]
 
 
+def parse_grid(text: str) -> tuple[float, ...]:
+    """``lo:hi:steps`` or ``lo:hi:steps:log`` into an ascending grid."""
+    parts = text.split(":")
+    if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
+        raise ValueError(f"grid must be lo:hi:steps or lo:hi:steps:log, got {text!r}")
+    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if steps < 1 or hi < lo:
+        raise ValueError(f"grid needs hi >= lo and steps >= 1, got {text!r}")
+    if steps == 1:
+        return (lo,)
+    if len(parts) == 4:
+        if lo <= 0:
+            raise ValueError("log grid requires lo > 0")
+        return tuple(float(g) for g in np.geomspace(lo, hi, steps))
+    return tuple(float(g) for g in np.linspace(lo, hi, steps))
+
+
+def parse_families(text: str) -> tuple[Family, ...]:
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    return tuple(Family(name) for name in names)
+
+
+def _setting(default, parse, help: str, choices: tuple[str, ...] | None = None):
+    return field(default=default, metadata={"parse": parse, "help": help, "choices": choices})
+
+
 @dataclass
-class SweepSettings:
-    """Resolved knobs shared by the experiment drivers."""
+class ExperimentConfig:
+    """Every setting of one experiment run.
 
-    n: int = 1000
-    seeds: int = 20
-    seed: int = 0
-    families: tuple[Family, ...] = ALL_FAMILIES
-    grid: tuple[float, ...] | None = None
-    estimator: str = "exact"
-    phi: Nonlinearity = HARD_TANH
-    sigma_x_sq: float = 1.0
-    lr: float = 0.05
-    steps: int = 40
-    dataset_size: int = 32
-    extras: dict = field(default_factory=dict)
+    Each field with ``parse`` metadata is a config-file key and a
+    command-line flag (``dataset_size`` is ``--dataset-size``); ``parse``
+    turns the text into the value.
+    """
 
-
-def _cells(settings: SweepSettings, grid) -> list[tuple[int, Family, int, float]]:
-    out = []
-    index = 0
-    for family in settings.families:
-        for gi, g in enumerate(grid):
-            out.append((index, Family(family), gi, float(g)))
-            index += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# fig1: length variance against the closed forms, per delta
-# ---------------------------------------------------------------------------
-
-
-def fig1_cell(settings: SweepSettings, family: Family, gi: int, delta: float) -> ResultRow:
-    v = delta_to_scale(family, WeightMode.TIED, delta)
-    spec = EnsembleSpec(family, settings.n, v)
-    report = estimate_length_variance(
-        spec,
-        WeightMode.TIED,
-        settings.seeds,
-        estimator_mode=settings.estimator,
-        base_seed=settings.seed,
-        grid_label=gi,
+    experiment: str = field(metadata={"parse": str, "help": "experiment to run", "choices": None})
+    n: int = _setting(1000, int, "matrix dimension (default 1000; fig1 2000)")
+    seed: int = _setting(0, int, "base seed for all derived streams (default 0)")
+    seeds: int = _setting(20, int, "replicates per cell (per-experiment default)")
+    families: tuple[Family, ...] = _setting(
+        ALL_FAMILIES, parse_families, "comma list from random,goe,orthogonal (default all)"
     )
-    return ResultRow(
-        experiment="fig1",
-        statistic="length_variance_T",
-        family=family.value,
-        weight_mode=WeightMode.TIED.value,
-        v=v,
-        delta=delta,
-        n=settings.n,
-        seeds=settings.seeds,
-        theory=report.theory_value,
+    grid: tuple[float, ...] | None = _setting(
+        None, parse_grid, "lo:hi:steps or lo:hi:steps:log; deltas for fig1/moments, sqrt(V) for fig2-4"
+    )
+    out: str = _setting("", str, "CSV output path (default <experiment>.csv)")
+    threads: int = _setting(1, int, "cell-level worker threads (default 1)")
+    estimator: str = _setting("exact", str, "trace estimator (default exact)", ("exact", "hutchinson"))
+    weight_mode: str = _setting("both", str, "moments weight mode (default both)", ("tied", "untied", "both"))
+    phi: str = _setting("hard_tanh", str, "nonlinearity (default hard_tanh)", tuple(sorted(NONLINEARITIES)))
+    lr: float = _setting(0.05, float, "train-probe learning rate (default 0.05)")
+    steps: int = _setting(40, int, "train-probe descent steps (default 40)")
+    dataset_size: int = _setting(32, int, "train-probe samples (default 32)")
+    defaulted: tuple[str, ...] = field(default_factory=tuple)
+
+    def as_manifest_dict(self) -> dict:
+        d = asdict(self)
+        d["families"] = [f.value for f in self.families]
+        return d
+
+
+# ---------------------------------------------------------------------------
+# fig1, fig2, fig3: one row per (family, grid point)
+# ---------------------------------------------------------------------------
+
+
+def run_sweep(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
+    """fig1 (grid in delta) and fig2/fig3 (grid in sqrt(V)), family-major."""
+    if config.experiment == "fig1":
+        cell, grid = length_variance_cell, config.grid or DEFAULT_FIG1_DELTAS
+    else:
+        cell, grid = fixed_point_cell, config.grid or DEFAULT_SQRT_V_GRID
+    cells = [(family, gi, float(g)) for family in config.families for gi, g in enumerate(grid)]
+    return list(parallel_map(lambda c: cell(config, *c), cells))
+
+
+def _mc_columns(report: MomentReport) -> dict:
+    return dict(
+        seeds=report.n_seeds,
         emp_mean=report.mc_mean,
         emp_median=report.mc_median,
         emp_stderr=report.mc_stderr,
@@ -160,102 +186,72 @@ def fig1_cell(settings: SweepSettings, family: Family, gi: int, delta: float) ->
     )
 
 
-def run_fig1(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
-    grid = settings.grid or DEFAULT_FIG1_DELTAS
-    cells = _cells(settings, grid)
-    rows = parallel_map(lambda c: (c[0], fig1_cell(settings, c[1], c[2], c[3])), cells)
-    return [row for _, row in sorted(rows, key=lambda item: item[0])]
-
-
-# ---------------------------------------------------------------------------
-# fig2: empirical pre-activation variance vs the self-consistent value
-# ---------------------------------------------------------------------------
-
-
-def fig2_cell(settings: SweepSettings, family: Family, gi: int, sqrt_v: float) -> ResultRow:
-    v = sqrt_v * sqrt_v
-    theory = sigma_h_selfconsistent(v, settings.sigma_x_sq, 0.0, settings.phi).sigma_h_sq
-    spec = EnsembleSpec(family, settings.n, v)
-    values = []
-    n_diverged = 0
-    for rep in range(settings.seeds):
-        seed = seed_for(settings.seed, family, gi, rep)
-        w = sample(spec, seed)
-        x = seed.child(1).generator().standard_normal(settings.n) * math.sqrt(settings.sigma_x_sq)
-        fp = iterate_h(w, x, settings.phi, t_max=1000, tol=1e-9)
-        if not fp.converged:
-            n_diverged += 1
-        values.append(float(fp.solution @ fp.solution) / settings.n)
-    arr = np.asarray(values)
+def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delta: float) -> ResultRow:
+    """fig1: tied length variance against the closed form."""
+    v = delta_to_scale(family, WeightMode.TIED, delta)
+    report = estimate_length_variance(
+        EnsembleSpec(family, config.n, v),
+        WeightMode.TIED,
+        config.seeds,
+        estimator_mode=config.estimator,
+        base_seed=config.seed,
+        grid_label=gi,
+    )
     return ResultRow(
-        experiment="fig2",
-        statistic="sigma_h_sq",
+        experiment="fig1",
+        statistic="length_variance_T",
         family=family.value,
+        weight_mode=WeightMode.TIED.value,
         v=v,
-        sqrt_v=sqrt_v,
-        n=settings.n,
-        seeds=settings.seeds,
-        theory=theory,
-        emp_mean=float(arr.mean()),
-        emp_median=float(np.median(arr)),
-        emp_stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)),
-        emp_q25=float(np.quantile(arr, 0.25)),
-        emp_q75=float(np.quantile(arr, 0.75)),
-        diverged=n_diverged,
+        delta=delta,
+        n=config.n,
+        theory=report.theory_value,
+        **_mc_columns(report),
     )
 
 
-def run_fig2(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
-    grid = settings.grid or DEFAULT_SQRT_V_GRID
-    cells = _cells(settings, grid)
-    rows = parallel_map(lambda c: (c[0], fig2_cell(settings, c[1], c[2], c[3])), cells)
-    return [row for _, row in sorted(rows, key=lambda item: item[0])]
+def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: float) -> ResultRow:
+    """fig2 and fig3: per seed, draw W and x and solve for h*.
 
-
-# ---------------------------------------------------------------------------
-# fig3: empirical vs predicted spectral radius of the Jacobian
-# ---------------------------------------------------------------------------
-
-
-def fig3_cell(settings: SweepSettings, family: Family, gi: int, sqrt_v: float) -> ResultRow:
+    fig2 keeps ``|h*|^2 / N`` against the self-consistent variance; fig3 the
+    spectral radius of ``W diag(phi'(h*))`` against its prediction.
+    """
+    phi = NONLINEARITIES[config.phi]
     v = sqrt_v * sqrt_v
-    state = sigma_h_selfconsistent(v, settings.sigma_x_sq, 0.0, settings.phi)
-    theory = radius_theory(family, v, settings.phi, state.sigma_h_sq)
-    spec = EnsembleSpec(family, settings.n, v)
+    sigma_h_sq = sigma_h_selfconsistent(v, SIGMA_X_SQ, 0.0, phi).sigma_h_sq
+    if config.experiment == "fig2":
+        statistic, theory = "sigma_h_sq", sigma_h_sq
+    else:
+        statistic, theory = "spectral_radius", radius_theory(family, v, phi, sigma_h_sq)
+    spec = EnsembleSpec(family, config.n, v)
     values = []
     n_diverged = 0
-    for rep in range(settings.seeds):
-        seed = seed_for(settings.seed, family, gi, rep)
+    for rep in range(config.seeds):
+        seed = seed_for(config.seed, family, gi, rep)
         w = sample(spec, seed)
-        x = seed.child(1).generator().standard_normal(settings.n) * math.sqrt(settings.sigma_x_sq)
-        fp = iterate_h(w, x, settings.phi, t_max=1000, tol=1e-9)
+        x = seed.child(1).generator().standard_normal(config.n) * math.sqrt(SIGMA_X_SQ)
+        fp = iterate_h(w, x, phi, t_max=1000, tol=1e-9)
         if not fp.converged:
             n_diverged += 1
-        values.append(radius_empirical(w, fp.solution, settings.phi))
-    arr = np.asarray(values)
+        h = fp.solution
+        values.append(float(h @ h) / config.n if config.experiment == "fig2" else radius_empirical(w, h, phi))
+    stats = numerics.summarize(values)
     return ResultRow(
-        experiment="fig3",
-        statistic="spectral_radius",
+        experiment=config.experiment,
+        statistic=statistic,
         family=family.value,
         v=v,
         sqrt_v=sqrt_v,
-        n=settings.n,
-        seeds=settings.seeds,
+        n=config.n,
+        seeds=config.seeds,
         theory=theory,
-        emp_mean=float(arr.mean()),
-        emp_median=float(np.median(arr)),
-        emp_stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)),
-        emp_q25=float(np.quantile(arr, 0.25)),
-        emp_q75=float(np.quantile(arr, 0.75)),
+        emp_mean=stats.mean,
+        emp_median=stats.median,
+        emp_stderr=stats.stderr,
+        emp_q25=stats.q25,
+        emp_q75=stats.q75,
         diverged=n_diverged,
     )
-
-
-def run_fig3(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
-    grid = settings.grid or DEFAULT_SQRT_V_GRID
-    cells = _cells(settings, grid)
-    rows = parallel_map(lambda c: (c[0], fig3_cell(settings, c[1], c[2], c[3])), cells)
-    return [row for _, row in sorted(rows, key=lambda item: item[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +259,24 @@ def run_fig3(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 
 
-def run_fig4(settings: SweepSettings, parallel_map=map, t_probe: int = 500) -> list[ResultRow]:
-    rows: list[ResultRow] = []
+def run_fig4(config: ExperimentConfig, parallel_map=map, t_probe: int = 500) -> list[ResultRow]:
+    """Default grid: 0.8x to 1.3x each family's predicted critical sqrt(V)."""
+    phi = NONLINEARITIES[config.phi]
 
-    def family_grid(family: Family) -> list[float]:
-        if settings.grid:
-            return [float(g) for g in settings.grid]
-        predicted = predict_critical_v(family, settings.phi, settings.sigma_x_sq)
-        return [predicted * m for m in np.linspace(0.8, 1.3, 11)]
-
-    def one_family(item):
-        index, family = item
-        cells = residual_sweep(
-            [family],
-            family_grid(family),
-            settings.n,
-            settings.seeds,
-            t_probe=t_probe,
-            phi=settings.phi,
-            sigma_x_sq=settings.sigma_x_sq,
-            base_seed=settings.seed,
-        )
-        return index, [
+    def one_family(family: Family) -> list[ResultRow]:
+        predicted = predict_critical_v(family, phi, SIGMA_X_SQ)
+        grid = config.grid or [predicted * m for m in np.linspace(0.8, 1.3, 11)]
+        cells = residual_sweep([family], grid, config.n, config.seeds, t_probe=t_probe, phi=phi, base_seed=config.seed)
+        return [
             ResultRow(
                 experiment="fig4",
                 statistic="residual_at_probe",
                 family=cell.family.value,
                 v=cell.sqrt_scale**2,
                 sqrt_v=cell.sqrt_scale,
-                n=settings.n,
+                n=config.n,
                 seeds=cell.n_seeds,
-                theory=cell.predicted_critical,
+                theory=predicted,
                 emp_mean=cell.residual_mean,
                 emp_median=cell.residual_median,
                 emp_q25=cell.residual_q25,
@@ -303,11 +286,7 @@ def run_fig4(settings: SweepSettings, parallel_map=map, t_probe: int = 500) -> l
             for cell in cells
         ]
 
-    for _, family_rows in sorted(
-        parallel_map(one_family, list(enumerate(settings.families))), key=lambda item: item[0]
-    ):
-        rows.extend(family_rows)
-    return rows
+    return [row for rows in parallel_map(one_family, config.families) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +294,21 @@ def run_fig4(settings: SweepSettings, parallel_map=map, t_probe: int = 500) -> l
 # ---------------------------------------------------------------------------
 
 
-def run_moments(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
-    grid = settings.grid or DEFAULT_FIG1_DELTAS
-    weight_modes = settings.extras.get("weight_modes", (WeightMode.TIED, WeightMode.UNTIED))
-    cells = []
-    index = 0
-    for family in settings.families:
-        for mode in weight_modes:
-            for gi, delta in enumerate(grid):
-                cells.append((index, Family(family), WeightMode(mode), gi, float(delta)))
-                index += 1
+def run_moments(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
+    grid = config.grid or DEFAULT_FIG1_DELTAS
+    if config.weight_mode == "both":
+        weight_modes = (WeightMode.TIED, WeightMode.UNTIED)
+    else:
+        weight_modes = (WeightMode(config.weight_mode),)
+    cells = [
+        (family, mode, gi, float(delta))
+        for family in config.families
+        for mode in weight_modes
+        for gi, delta in enumerate(grid)
+    ]
 
-    def one(cell):
-        index, family, mode, gi, delta = cell
+    def one(cell) -> list[ResultRow]:
+        family, mode, gi, delta = cell
         v = delta_to_scale(family, mode, delta)
         out = []
         for quantity in Quantity:
@@ -339,40 +320,20 @@ def run_moments(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
                 weight_mode=mode.value,
                 v=v,
                 delta=delta,
-                n=settings.n,
+                n=config.n,
                 theory=theory_value(query),
             )
             out.append(row)
-        if settings.seeds > 0:
-            spec = EnsembleSpec(family, settings.n, v)
-            problem = LinearDeqProblem(spec, np.ones(settings.n), mode)
-            vf = estimate_moments(problem, settings.seeds, settings.seed, grid_label=gi)
-            lv = estimate_length_variance(
-                spec, mode, settings.seeds, settings.estimator, settings.seed, grid_label=gi
-            )
+        if config.seeds > 0:
+            spec = EnsembleSpec(family, config.n, v)
+            problem = LinearDeqProblem(spec, np.ones(config.n), mode)
+            vf = estimate_moments(problem, config.seeds, config.seed, grid_label=gi)
+            lv = estimate_length_variance(spec, mode, config.seeds, config.estimator, config.seed, grid_label=gi)
             for i, report in ((0, vf), (1, lv)):
-                out[i] = _attach_mc(out[i], report, settings.seeds)
-        return index, out
+                out[i] = replace(out[i], **_mc_columns(report))
+        return out
 
-    rows: list[ResultRow] = []
-    for _, cell_rows in sorted(parallel_map(one, cells), key=lambda item: item[0]):
-        rows.extend(cell_rows)
-    return rows
-
-
-def _attach_mc(row: ResultRow, report, seeds: int) -> ResultRow:
-    return ResultRow(
-        **{
-            **row.__dict__,
-            "seeds": seeds,
-            "emp_mean": report.mc_mean,
-            "emp_median": report.mc_median,
-            "emp_stderr": report.mc_stderr,
-            "emp_q25": report.mc_q25,
-            "emp_q75": report.mc_q75,
-            "diverged": report.n_diverged,
-        }
-    )
+    return [row for rows in parallel_map(one, cells) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +341,9 @@ def _attach_mc(row: ResultRow, report, seeds: int) -> ResultRow:
 # ---------------------------------------------------------------------------
 
 
-def run_freeprob_check(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
+def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
     rows: list[ResultRow] = []
-    n = settings.n
+    n = config.n
 
     def row(statistic, theory, observed, **kw):
         return ResultRow(
@@ -411,11 +372,11 @@ def run_freeprob_check(settings: SweepSettings, parallel_map=map) -> list[Result
     rows.append(row("cubic_m2_at_half", 16.0, float(m.coefficient(2)), v=0.5))
     v_mc = 0.25
     m_mc = freeprob.random_gram_moment_series(Fraction(1, 4), 3)
-    mc_seeds = max(2, min(settings.seeds, 8))
+    mc_seeds = max(2, min(config.seeds, 8))
     spec = EnsembleSpec(Family.RANDOM, n, v_mc)
     vals2, vals3 = [], []
     for rep in range(mc_seeds):
-        w = sample(spec, seed_for(settings.seed, Family.RANDOM, 21, rep))
+        w = sample(spec, seed_for(config.seed, Family.RANDOM, 21, rep))
         sv = np.linalg.svd(np.eye(n) - w, compute_uv=False)
         vals2.append(float(np.mean(sv**-4.0)))
         vals3.append(float(np.mean(sv**-6.0)))
@@ -430,7 +391,7 @@ def run_freeprob_check(settings: SweepSettings, parallel_map=map) -> list[Result
     # hard-tanh Jacobian spectrum against one empirical draw
     p, v_j = 0.5, 0.2
     target = freeprob.hardtanh_jacobian_density(p, v_j)
-    seed = seed_for(settings.seed, Family.GOE, 22, 0)
+    seed = seed_for(config.seed, Family.GOE, 22, 0)
     w = sample(EnsembleSpec(Family.GOE, n, v_j), seed)
     gates = (seed.child(1).generator().random(n) < p).astype(float)
     root = np.sqrt(gates)
@@ -459,22 +420,22 @@ def run_freeprob_check(settings: SweepSettings, parallel_map=map) -> list[Result
 # ---------------------------------------------------------------------------
 
 
-def run_train_probe(settings: SweepSettings, parallel_map=map) -> list[ResultRow]:
-    grid = settings.grid or (0.05, 0.3, 0.6, 0.9, 1.2)
+def run_train_probe(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
+    grid = config.grid or (0.05, 0.3, 0.6, 0.9, 1.2)
     task = ProbeTask(
-        teacher_seed=settings.seed + 1,
-        n_samples=settings.dataset_size,
-        dim=min(settings.n, 64),
+        teacher_seed=config.seed + 1,
+        n_samples=config.dataset_size,
+        dim=min(config.n, 64),
     )
     records = train_stability_sweep(
         task,
-        settings.families,
+        config.families,
         grid,
-        settings.seeds,
-        lr=settings.lr,
-        steps=settings.steps,
-        phi=settings.phi,
-        base_seed=settings.seed,
+        config.seeds,
+        lr=config.lr,
+        steps=config.steps,
+        phi=NONLINEARITIES[config.phi],
+        base_seed=config.seed,
     )
     rows: list[ResultRow] = []
     for cell in summarize_sweep(records):
@@ -499,9 +460,9 @@ def run_train_probe(settings: SweepSettings, parallel_map=map) -> list[ResultRow
 
 
 EXPERIMENTS = {
-    "fig1": run_fig1,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
+    "fig1": run_sweep,
+    "fig2": run_sweep,
+    "fig3": run_sweep,
     "fig4": run_fig4,
     "moments": run_moments,
     "freeprob-check": run_freeprob_check,

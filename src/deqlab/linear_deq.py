@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,28 +32,18 @@ from .ensembles import EnsembleSpec, SeedDerivation, sample, seed_for
 _OVERFLOW_NORM = 1e150
 
 
-class InputMode(str, Enum):
-    FIXED_VECTOR = "fixed_vector"
-    GAUSSIAN_RANDOM = "gaussian_random"
-
-
 @dataclass(frozen=True)
 class LinearDeqProblem:
     spec: EnsembleSpec
     x: np.ndarray
     weight_mode: WeightMode = WeightMode.TIED
-    input_mode: InputMode = InputMode.FIXED_VECTOR
-    input_variance: float = 1.0
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
-        object.__setattr__(self, "input_mode", InputMode(self.input_mode))
         if not np.all(np.isfinite(x)):
             raise ValueError("input vector contains non-finite entries")
-        if self.input_variance < 0:
-            raise ValueError("input variance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,15 +135,15 @@ def _stats_report(
     n_seeds: int,
     n_diverged: int,
 ) -> MomentReport:
-    arr = np.asarray(values, dtype=float)
+    s = numerics.summarize(values)
     return MomentReport(
         query=query,
         theory_value=theory,
-        mc_mean=float(arr.mean()),
-        mc_stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0,
-        mc_median=float(np.median(arr)),
-        mc_q25=float(np.quantile(arr, 0.25)),
-        mc_q75=float(np.quantile(arr, 0.75)),
+        mc_mean=s.mean,
+        mc_stderr=s.stderr,
+        mc_median=s.median,
+        mc_q25=s.q25,
+        mc_q75=s.q75,
         n_seeds=n_seeds,
         n_diverged=n_diverged,
     )
@@ -287,7 +276,7 @@ class LinearKernels:
 
     nngp_empirical: float
     ntk_empirical: float
-    ntk_stderr: float
+    ntk_stderr: float | None
     ntk_theory_factor: float
     n_seeds: int
     n_diverged: int
@@ -335,11 +324,11 @@ def linear_kernels(
         ntk_vals.append(float(a @ a) * float(z @ zp) / xxp)
     if not ntk_vals:
         raise numerics.SingularMatrixError("all seeds diverged")
-    ntk = np.asarray(ntk_vals)
+    ntk = numerics.summarize(ntk_vals)
     return LinearKernels(
-        nngp_empirical=float(np.mean(nngp_vals)),
-        ntk_empirical=float(ntk.mean()),
-        ntk_stderr=float(ntk.std(ddof=1) / math.sqrt(ntk.size)) if ntk.size > 1 else 0.0,
+        nngp_empirical=numerics.summarize(nngp_vals).mean,
+        ntk_empirical=ntk.mean,
+        ntk_stderr=ntk.stderr,
         ntk_theory_factor=gram_factor**2,
         n_seeds=n_seeds,
         n_diverged=n_diverged,

@@ -20,6 +20,8 @@ from .linear_deq import FixedPointResult
 _RESIDUAL_CLIP = 1e6
 _OVERFLOW_NORM = 1e120
 
+SIGMA_X_SQ = 1.0  # input coordinate variance of every Monte-Carlo sweep
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -287,7 +289,6 @@ class ResidualCell:
     residual_q25: float
     residual_q75: float
     frac_above_1e3: float
-    predicted_critical: float
     n_seeds: int
 
 
@@ -298,13 +299,12 @@ def residual_sweep(
     n_seeds: int,
     t_probe: int = 500,
     phi: Nonlinearity = HARD_TANH,
-    sigma_x_sq: float = 1.0,
     base_seed: int = 0,
     converge_floor: float = 1e-12,
 ) -> list[ResidualCell]:
     """Step-norm residual after t_probe iterations, per (family, sqrt V).
 
-    Inputs have i.i.d. N(0, sigma_x^2) coordinates.  Each replicate draws one
+    Inputs have i.i.d. N(0, SIGMA_X_SQ) coordinates.  Each replicate draws one
     unit-scale base matrix and rescales it across the grid (the sweep probes
     scale dependence at fixed disorder), so grid points share seeds but each
     point's marginal law is exact.  Residuals are clipped at 1e6; iteration
@@ -319,21 +319,19 @@ def residual_sweep(
         for rep in range(n_seeds):
             seed = seed_for(base_seed, family, 7, rep)
             w_unit = sample(unit, seed)
-            x = seed.child(1).generator().standard_normal(n) * math.sqrt(sigma_x_sq)
+            x = seed.child(1).generator().standard_normal(n) * math.sqrt(SIGMA_X_SQ)
             residuals[:, rep] = _probe_residuals(w_unit, x, sqrt_v_grid, phi, t_probe, converge_floor)
-        predicted = predict_critical_v(family, phi, sigma_x_sq)
-        for gi, sq in enumerate(sqrt_v_grid):
-            row = residuals[gi]
+        for sq, row in zip(sqrt_v_grid, residuals):
+            s = numerics.summarize(row)
             results.append(
                 ResidualCell(
                     family=family,
                     sqrt_scale=sq,
-                    residual_median=float(np.median(row)),
-                    residual_mean=float(np.mean(row)),
-                    residual_q25=float(np.quantile(row, 0.25)),
-                    residual_q75=float(np.quantile(row, 0.75)),
+                    residual_median=s.median,
+                    residual_mean=s.mean,
+                    residual_q25=s.q25,
+                    residual_q75=s.q75,
                     frac_above_1e3=float(np.mean(row > 1e-3)),
-                    predicted_critical=predicted,
                     n_seeds=n_seeds,
                 )
             )
@@ -373,7 +371,7 @@ def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe, converge_floor):
 @dataclass(frozen=True)
 class NtkEstimate:
     mean: float
-    stderr: float
+    stderr: float | None
     n_seeds: int
     n_diverged: int
 
@@ -423,6 +421,5 @@ def ntk_nonlinear_empirical(
         vals.append(jac_align * float((d * z) @ (dp * zp)))
     if not vals:
         raise numerics.SingularMatrixError("all seeds diverged")
-    arr = np.asarray(vals)
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return NtkEstimate(float(arr.mean()), stderr, n_seeds, n_diverged)
+    s = numerics.summarize(vals)
+    return NtkEstimate(s.mean, s.stderr, n_seeds, n_diverged)

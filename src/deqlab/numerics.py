@@ -6,6 +6,7 @@ hold no shared state, so callers may run them concurrently on disjoint data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +17,31 @@ import scipy.linalg
 
 class SingularMatrixError(ValueError):
     """Matrix singular to working tolerance (scale at or past threshold)."""
+
+
+@dataclass(frozen=True)
+class Summary:
+    """Mean, median, standard error and quartiles of a Monte-Carlo sample.
+
+    ``stderr`` is None for a single value, which has no spread to report.
+    """
+
+    mean: float
+    median: float
+    stderr: float | None
+    q25: float
+    q75: float
+
+
+def summarize(values) -> Summary:
+    arr = np.asarray(values, dtype=float)
+    return Summary(
+        mean=float(arr.mean()),
+        median=float(np.median(arr)),
+        stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else None,
+        q25=float(np.quantile(arr, 0.25)),
+        q75=float(np.quantile(arr, 0.75)),
+    )
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -176,14 +176,13 @@ def train_stability_sweep(
                 seed = seed_for(base_seed, family, 11, rep)
                 w = sample(spec, seed)
                 v = seed.child(1).generator().standard_normal(task.dim) / math.sqrt(task.dim)
-                loss0, _, _ = _mse_and_grads(w, v, xs_train, ys_train, phi)
+                loss, gw, gv = _mse_and_grads(w, v, xs_train, ys_train, phi)
+                loss0 = loss
                 diverged = not math.isfinite(loss0)
                 steps_hit: int | None = None
-                loss = loss0
                 for step in range(1, steps + 1):
-                    if diverged:
-                        break
-                    loss, gw, gv = _mse_and_grads(w, v, xs_train, ys_train, phi)
+                    if step > 1:
+                        loss, gw, gv = _mse_and_grads(w, v, xs_train, ys_train, phi)
                     if gw is None or loss > loss_cap:
                         diverged = True
                         break

@@ -28,14 +28,18 @@ from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.experiments import (
     ALL_FAMILIES,
     DEFAULT_FIG1_DELTAS,
-    SweepSettings,
-    run_fig1,
-    run_fig2,
-    run_fig3,
+    ExperimentConfig,
     run_fig4,
+    run_sweep,
 )
 from deqlab.linear_deq import LinearDeqProblem, check_convergence_bound, estimate_moments
-from deqlab.nonlinear_deq import HARD_TANH, IDENTITY, ginibre_edge_factor, sigma_h_selfconsistent
+from deqlab.nonlinear_deq import (
+    HARD_TANH,
+    IDENTITY,
+    SIGMA_X_SQ,
+    ginibre_edge_factor,
+    sigma_h_selfconsistent,
+)
 from deqlab.train_probe import deq_forward, deq_vjp
 
 TIED = WeightMode.TIED
@@ -97,8 +101,8 @@ def test_criterion_02_divergence_exponents_and_edge_ratio():
 
 def test_criterion_03_length_variance_sweep():
     started = time.monotonic()
-    settings = SweepSettings(n=2000, seeds=5, seed=0, families=ALL_FAMILIES, grid=DEFAULT_FIG1_DELTAS)
-    rows = {(r.family, round(r.delta, 6)): r for r in run_fig1(settings)}
+    config = ExperimentConfig("fig1", n=2000, seeds=5, seed=0, families=ALL_FAMILIES, grid=DEFAULT_FIG1_DELTAS)
+    rows = {(r.family, round(r.delta, 6)): r for r in run_sweep(config)}
     ok = True
     details = []
     for delta in DEFAULT_FIG1_DELTAS:
@@ -144,8 +148,8 @@ def test_criterion_04_goe_second_moment_arbitration():
 
 def test_criterion_05_preactivation_variance_sweep():
     started = time.monotonic()
-    settings = SweepSettings(n=1000, seeds=20, seed=0, families=ALL_FAMILIES)
-    rows = run_fig2(settings)
+    config = ExperimentConfig("fig2", n=1000, seeds=20, seed=0, families=ALL_FAMILIES)
+    rows = run_sweep(config)
     ok = True
     worst = 0.0
     exceed = 0
@@ -171,8 +175,8 @@ def test_criterion_05_preactivation_variance_sweep():
 
 def test_criterion_06_spectral_radius_sweep():
     started = time.monotonic()
-    settings = SweepSettings(n=1000, seeds=20, seed=0, families=ALL_FAMILIES)
-    rows = run_fig3(settings)
+    config = ExperimentConfig("fig3", n=1000, seeds=20, seed=0, families=ALL_FAMILIES)
+    rows = run_sweep(config)
     ok = True
     details = []
     for row in rows:
@@ -182,8 +186,8 @@ def test_criterion_06_spectral_radius_sweep():
             # statistic: the active m x m block is Ginibre, whose expected
             # radius overshoots the edge by ginibre_edge_factor(m).  m comes
             # from the predicted gate probability, never the measured one.
-            p_active = sigma_h_selfconsistent(row.v, settings.sigma_x_sq, 0.0, settings.phi).p_active
-            reference = row.theory * ginibre_edge_factor(p_active * settings.n)
+            p_active = sigma_h_selfconsistent(row.v, SIGMA_X_SQ, 0.0, HARD_TANH).p_active
+            reference = row.theory * ginibre_edge_factor(p_active * config.n)
             corrected = row.emp_mean / reference - 1.0
             ok &= abs(corrected) <= 0.02
             details.append(f"rand sv={row.sqrt_v:.1f}: {dev:+.3f} (finite-N {corrected:+.3f})")
@@ -199,8 +203,8 @@ def test_criterion_06_spectral_radius_sweep():
 
 def test_criterion_07_residual_transition():
     started = time.monotonic()
-    settings = SweepSettings(n=1000, seeds=100, seed=0, families=ALL_FAMILIES)
-    rows = run_fig4(settings)
+    config = ExperimentConfig("fig4", n=1000, seeds=100, seed=0, families=ALL_FAMILIES)
+    rows = run_fig4(config)
     ok = True
     details = []
     for family in ("random", "orthogonal", "goe"):

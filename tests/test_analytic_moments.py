@@ -55,6 +55,14 @@ class TestVarianceFactor:
         assert got == pytest.approx(4 * math.sqrt(2) - 5, abs=1e-10)
         assert got == pytest.approx(0.6568542494923806, abs=1e-10)
 
+    def test_goe_tied_near_threshold(self):
+        # delta 0.05: the series cross-check needs about 630 terms, past the
+        # point where an exact Catalan number still converts to a float
+        v = 0.2375
+        closed = 2.0 / math.sqrt(1.0 - 4.0 * v) - am.catalan_generating(v) - 1.0
+        assert am.variance_factor_theory(Family.GOE, TIED, v) == closed
+        assert am._goe_gram_trace_series(v) - 1.0 == pytest.approx(closed, rel=1e-10)
+
     def test_beyond_critical_raises_with_value(self):
         with pytest.raises(am.CriticalScaleError) as err:
             am.variance_factor_theory(Family.GOE, TIED, 0.3)

@@ -1,11 +1,13 @@
+import csv
 import json
 import math
+import warnings
 
 import pytest
 
 from deqlab import cli
-from deqlab.cli import ConfigError, parse_grid, validate_config
-from deqlab.experiments import CSV_COLUMNS
+from deqlab.cli import ConfigError, validate_config
+from deqlab.experiments import CSV_COLUMNS, parse_grid
 
 
 class TestParseGrid:
@@ -47,14 +49,6 @@ class TestValidateConfig:
             validate_config(None, {"experiment": "fig2", "seeds": "-3"})
         assert any("seeds" in e for e in err.value.errors)
 
-    def test_scale_beyond_critical_names_threshold(self):
-        with pytest.raises(ConfigError) as err:
-            validate_config(
-                None,
-                {"experiment": "moments", "v": "0.3", "families": "goe", "weight_mode": "tied"},
-            )
-        assert any("0.25" in e for e in err.value.errors)
-
     def test_errors_aggregate(self, tmp_path):
         path = tmp_path / "multi.cfg"
         path.write_text("experiment=fig2\nseeds=-1\nthreads=0\n", encoding="utf-8")
@@ -73,8 +67,50 @@ class TestValidateConfig:
             validate_config(None, {})
 
 
+# A value for every config key but ``experiment``, each unlike its default.
+SAMPLE_VALUES = {
+    "n": "64",
+    "seed": "3",
+    "seeds": "7",
+    "families": "goe,random",
+    "grid": "0.2:0.4:3",
+    "out": "x.csv",
+    "threads": "2",
+    "estimator": "hutchinson",
+    "weight_mode": "untied",
+    "phi": "tanh",
+    "lr": "0.125",
+    "steps": "9",
+    "dataset_size": "16",
+}
+
+
+class TestFlagsMatchConfigKeys:
+    def test_every_key_has_a_flag_that_sets_the_same_value(self, tmp_path):
+        assert set(cli.SETTINGS) == {"experiment", *SAMPLE_VALUES}
+        default = validate_config(None, {"experiment": "fig2"})
+        for key, text in SAMPLE_VALUES.items():
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"experiment=fig2\n{key}={text}\n", encoding="utf-8")
+            from_file = validate_config(str(path))
+            flags = vars(cli.build_parser().parse_args(["fig2", "--" + key.replace("_", "-"), text]))
+            from_flag = validate_config(flags.pop("config"), flags)
+            assert getattr(from_flag, key) == getattr(from_file, key) != getattr(default, key), key
+
+    def test_experiment_positional_matches_file_key(self, tmp_path):
+        path = tmp_path / "e.cfg"
+        path.write_text("experiment=fig3\n", encoding="utf-8")
+        flags = vars(cli.build_parser().parse_args(["fig3"]))
+        assert validate_config(flags.pop("config"), flags) == validate_config(str(path))
+
+
 def _run_cli(args):
     return cli.main(args)
+
+
+def _rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestCliRuns:
@@ -213,3 +249,31 @@ class TestCliRuns:
         assert float(rows[0]["emp_median"]) < 1e-6
         assert float(rows[-1]["emp_median"]) > 1e-3
         assert float(rows[0]["theory"]) == pytest.approx(1.0, abs=2e-4)
+        assert all(r["emp_stderr"] == "" for r in rows)
+
+    def test_moments_default_grid(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert _run_cli(["moments", "--out", str(out)]) == 0
+        rows = _rows(out)
+        # 3 families x 2 weight modes x 9 deltas x 3 quantities
+        assert len(rows) == 162
+        assert min(float(r["delta"]) for r in rows) == 0.05
+
+    def test_moments_one_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert _run_cli(["moments", "--seeds", "1", "--grid", "0.5:0.5:1", "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, grid", [("fig1", "0.5:0.5:1"), ("fig2", "0.3:0.3:1"), ("fig3", "0.3:0.3:1")])
+    def test_one_seed_leaves_stderr_empty(self, experiment, grid, tmp_path):
+        out = tmp_path / "one.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = _run_cli(
+                [experiment, "--n", "40", "--seeds", "1", "--grid", grid, "--families", "random", "--out", str(out)]
+            )
+        assert code == 0
+        rows = _rows(out)
+        assert len(rows) == 1 and rows[0]["emp_stderr"] == ""
+        assert rows[0]["emp_mean"] == rows[0]["emp_median"]

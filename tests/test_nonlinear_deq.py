@@ -181,7 +181,6 @@ class TestResidualSweep:
         for cell in cells:
             assert cell.residual_q75 < 1e-8
             assert cell.frac_above_1e3 == 0.0
-            assert cell.predicted_critical > 0.5
 
     def test_identity_transition_at_unit_scale(self):
         cells = nl.residual_sweep(
@@ -190,7 +189,6 @@ class TestResidualSweep:
         below, above = cells
         assert below.residual_median < 1e-6
         assert above.residual_median > 1e-3
-        assert below.predicted_critical == pytest.approx(1.0, abs=2e-4)
 
     def test_stability_tracks_predicted_radius(self):
         # theory radius < 0.95 -> nearly every seed settles by the probe
