@@ -25,7 +25,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
+from .ensembles import Family
 from .experiments import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig, ResultRow
+from .nonlinear_deq import ZERO_ONE_GATES
 
 DEFAULT_N = {"fig1": 2000}
 DEFAULT_SEEDS = {
@@ -141,6 +143,8 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         bad = [g for g in config.grid if not 0.0 < g <= 1.0]
         if bad:
             errors.append(f"{config.experiment} grid values are deltas in (0, 1]; got {bad}")
+    if config.experiment in ("fig3", "fig4") and Family.GOE in config.families and config.phi not in ZERO_ONE_GATES:
+        errors.append(f"{config.experiment} on goe needs phi {' or '.join(ZERO_ONE_GATES)} (a 0/1 gate), got {config.phi!r}")
     if errors:
         raise ConfigError(errors)
     return config
@@ -190,14 +194,15 @@ def write_manifest(path: Path, config: ExperimentConfig, rows: list[ResultRow], 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
+    out = Path(config.out)
+    if not out.parent.is_dir():
+        print(f"error: cannot write output: output directory {out.parent} does not exist", file=sys.stderr)
+        return 2
     started = time.monotonic()
     rows = EXPERIMENTS[config.experiment](config, parallel_map=_parallel_map(config.threads))
     mc_rows = [r for r in rows if r.seeds]
     failed = [r for r in mc_rows if r.diverged is not None and r.diverged >= r.seeds]
-    out = Path(config.out)
     try:
-        if out.parent and not out.parent.exists():
-            raise OSError(f"output directory {out.parent} does not exist")
         write_csv(out, rows)
         write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config, rows, time.monotonic() - started)
     except OSError as exc:

@@ -29,8 +29,6 @@ from .analytic_moments import (
 )
 from .ensembles import EnsembleSpec, SeedDerivation, sample, seed_for
 
-_OVERFLOW_NORM = 1e150
-
 
 @dataclass(frozen=True)
 class LinearDeqProblem:
@@ -46,14 +44,6 @@ class LinearDeqProblem:
             raise ValueError("input vector contains non-finite entries")
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    solution: np.ndarray
-    iterations: int
-    final_residual: float
-    converged: bool
-
-
 def solve_closed_form(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``z* = (I - W)^{-1} x``; raises SingularMatrixError at threshold."""
     w = np.asarray(w, dtype=float)
@@ -61,29 +51,13 @@ def solve_closed_form(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def iterate_tied(
-    w: np.ndarray,
-    x: np.ndarray,
-    z0: np.ndarray | None = None,
-    t_max: int = 10_000,
-    tol: float = 1e-10,
-) -> FixedPointResult:
-    """Run ``z <- W z + x`` until the step norm ``||dz|| / sqrt(N)`` drops
-    below tol or the budget runs out.  Overflow yields a diverged result,
-    not an exception."""
+    w: np.ndarray, x: np.ndarray, t_max: int = 10_000, tol: float = 1e-10
+) -> numerics.FixedPointResult:
+    """Run ``z <- W z + x`` from the zero state with ``numerics.fixed_point``.
+    Overflow yields a diverged result, not an exception."""
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    z = np.zeros_like(x) if z0 is None else np.asarray(z0, dtype=float).copy()
-    residual = math.inf
-    for t in range(1, t_max + 1):
-        z_next = w @ z + x
-        residual = float(np.linalg.norm(z_next - z) / math.sqrt(n))
-        z = z_next
-        if not np.isfinite(residual) or np.linalg.norm(z) > _OVERFLOW_NORM:
-            return FixedPointResult(z, t, math.inf, False)
-        if residual <= tol:
-            return FixedPointResult(z, t, residual, True)
-    return FixedPointResult(z, t_max, residual, False)
+    return numerics.fixed_point(lambda z, _: w @ z + x, np.zeros_like(x), t_max, tol)
 
 
 def iterate_untied(spec: EnsembleSpec, x: np.ndarray, t: int, seed: SeedDerivation) -> np.ndarray:
@@ -247,20 +221,23 @@ def check_convergence_bound(w: np.ndarray, x: np.ndarray, t: int, v: float) -> B
     """Check ``max_i |z*_i - (z_t)_i|^2 <= (2t / (1-V)) (x.x) V^{t+1}``.
 
     The bound is probabilistic over matrix draws, so callers aggregate the
-    pass rate over seeds.  A singular ``I - W`` yields a diverged record.
+    pass rate over seeds.  A singular ``I - W`` or an iterate that overflows
+    within t steps yields a diverged record.
     """
     if not 0.0 <= v < 1.0:
         raise ValueError(f"need 0 <= V < 1, got {v}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
     x = np.asarray(x, dtype=float)
     rhs = (2.0 * t / (1.0 - v)) * float(x @ x) * v ** (t + 1)
     try:
         z_star = solve_closed_form(w, x)
     except numerics.SingularMatrixError:
         return BoundCheck(False, math.inf, rhs, diverged=True)
-    z_t = iterate_tied(w, x, t_max=t, tol=0.0).solution
-    if not np.all(np.isfinite(z_t)):
+    fp = iterate_tied(w, x, t_max=t, tol=0.0)
+    if fp.final_residual == math.inf:
         return BoundCheck(False, math.inf, rhs, diverged=True)
-    lhs = float(np.max((z_star - z_t) ** 2))
+    lhs = float(np.max((z_star - fp.solution) ** 2))
     return BoundCheck(lhs <= rhs, lhs, rhs)
 
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from . import numerics
 from .ensembles import EnsembleSpec, Family, sample, seed_for
-from .linear_deq import FixedPointResult
 
 _RESIDUAL_CLIP = 1e6
-_OVERFLOW_NORM = 1e120
+_CONVERGE_FLOOR = 1e-12  # residual at which the fig4 probe stops a scale
 
 SIGMA_X_SQ = 1.0  # input coordinate variance of every Monte-Carlo sweep
 
@@ -40,6 +39,7 @@ HARD_TANH = Nonlinearity("hard_tanh", lambda h: np.clip(h, -1.0, 1.0), lambda h:
 TANH = Nonlinearity("tanh", np.tanh, lambda h: 1.0 / np.cosh(np.asarray(h, dtype=float)) ** 2)
 
 NONLINEARITIES = {f.name: f for f in (IDENTITY, HARD_TANH, TANH)}
+ZERO_ONE_GATES = ("identity", "hard_tanh")  # phi' is 0/1: the GOE radius has a closed form
 
 
 class SelfConsistencyError(RuntimeError):
@@ -79,30 +79,17 @@ def iterate_h(
     phi: Nonlinearity,
     t_max: int = 1000,
     tol: float = 1e-9,
-    h0: np.ndarray | None = None,
-) -> FixedPointResult:
-    """Iterate ``h <- W phi(h) + W x`` from h0 (default 0).
+) -> numerics.FixedPointResult:
+    """Iterate ``h <- W phi(h) + W x`` from zero with ``numerics.fixed_point``.
 
-    Divergence is recorded (converged=False, residual clipped at 1e6), never
-    raised; the residual is the step norm ``||h' - h|| / sqrt(N)``.
+    Divergence is recorded (converged=False), never raised.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("input vector contains non-finite entries")
     w = np.asarray(w, dtype=float)
-    n = x.shape[0]
     wx = w @ x
-    h = np.zeros(n) if h0 is None else np.asarray(h0, dtype=float).copy()
-    residual = math.inf
-    for t in range(1, t_max + 1):
-        h_next = w @ phi.phi(h) + wx
-        residual = float(np.linalg.norm(h_next - h) / math.sqrt(n))
-        h = h_next
-        if not np.all(np.isfinite(h)) or np.linalg.norm(h) > _OVERFLOW_NORM:
-            return FixedPointResult(h, t, _RESIDUAL_CLIP, False)
-        if residual <= tol:
-            return FixedPointResult(h, t, residual, True)
-    return FixedPointResult(h, t_max, min(residual, _RESIDUAL_CLIP), False)
+    return numerics.fixed_point(lambda h, _: w @ phi.phi(h) + wx, np.zeros(x.shape[0]), t_max, tol)
 
 
 def sigma_h_selfconsistent(
@@ -179,7 +166,7 @@ def radius_theory(family: Family, v: float, phi: Nonlinearity, sigma_h_sq: float
     if sigma_h_sq < 0:
         raise ValueError("sigma_h_sq must be >= 0")
     if family is Family.GOE:
-        if phi.name not in ("identity", "hard_tanh"):
+        if phi.name not in ZERO_ONE_GATES:
             raise UnsupportedNonlinearityError(
                 f"GOE radius for {phi.name!r} requires numerical free convolution"
             )
@@ -300,7 +287,6 @@ def residual_sweep(
     t_probe: int = 500,
     phi: Nonlinearity = HARD_TANH,
     base_seed: int = 0,
-    converge_floor: float = 1e-12,
 ) -> list[ResidualCell]:
     """Step-norm residual after t_probe iterations, per (family, sqrt V).
 
@@ -308,7 +294,7 @@ def residual_sweep(
     unit-scale base matrix and rescales it across the grid (the sweep probes
     scale dependence at fixed disorder), so grid points share seeds but each
     point's marginal law is exact.  Residuals are clipped at 1e6; iteration
-    stops early once the residual falls below ``converge_floor``.
+    stops early once the residual falls to 1e-12.
     """
     sqrt_v_grid = [float(s) for s in sqrt_v_grid]
     results: list[ResidualCell] = []
@@ -320,7 +306,7 @@ def residual_sweep(
             seed = seed_for(base_seed, family, 7, rep)
             w_unit = sample(unit, seed)
             x = seed.child(1).generator().standard_normal(n) * math.sqrt(SIGMA_X_SQ)
-            residuals[:, rep] = _probe_residuals(w_unit, x, sqrt_v_grid, phi, t_probe, converge_floor)
+            residuals[:, rep] = _probe_residuals(w_unit, x, sqrt_v_grid, phi, t_probe)
         for sq, row in zip(sqrt_v_grid, residuals):
             s = numerics.summarize(row)
             results.append(
@@ -338,34 +324,21 @@ def residual_sweep(
     return results
 
 
-def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe, converge_floor):
+def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe):
     """Probe residual of ``h <- s W_unit (phi(h) + x)`` for every scale s.
 
     The scales share one matrix, so each step is a single product of the
     states still running (one row per scale) with ``W_unit^T``; a row leaves
-    once it overflows (residual clipped) or its residual falls below
-    ``converge_floor``.
+    once it overflows (residual clipped) or settles.
     """
-    n = x.shape[0]
     scales = np.asarray(sqrt_scales, dtype=float)
-    out = np.full(scales.size, _RESIDUAL_CLIP)
-    running = np.arange(scales.size)
-    h = np.zeros((scales.size, n))
-    residual = out.copy()
-    for _ in range(t_probe):
-        h_next = ((phi.phi(h) + x) @ w_unit.T) * scales[running, None]
-        residual = np.linalg.norm(h_next - h, axis=1) / math.sqrt(n)
-        h = h_next
-        overflow = ~np.all(np.isfinite(h), axis=1) | (np.linalg.norm(h, axis=1) > _OVERFLOW_NORM)
-        settled = ~overflow & (residual < converge_floor)
-        out[running[settled]] = residual[settled]
-        keep = ~(overflow | settled)
-        if not keep.all():
-            running, h, residual = running[keep], h[keep], residual[keep]
-            if running.size == 0:
-                return out
-    out[running] = np.minimum(residual, _RESIDUAL_CLIP)
-    return out
+    residuals = numerics.fixed_point(
+        lambda h, rows: ((phi.phi(h) + x) @ w_unit.T) * scales[rows, None],
+        np.zeros((scales.size, x.shape[0])),
+        t_probe,
+        _CONVERGE_FLOOR,
+    )
+    return np.minimum(residuals, _RESIDUAL_CLIP)
 
 
 @dataclass(frozen=True)

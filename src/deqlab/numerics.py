@@ -19,6 +19,61 @@ class SingularMatrixError(ValueError):
     """Matrix singular to working tolerance (scale at or past threshold)."""
 
 
+_OVERFLOW_NORM = 1e120
+
+
+@dataclass(frozen=True)
+class FixedPointResult:
+    """Outcome of :func:`fixed_point` for a single vector."""
+
+    solution: np.ndarray
+    iterations: int
+    final_residual: float
+    converged: bool
+
+
+def fixed_point(step, x0: np.ndarray, t_max: int, tol: float):
+    """Iterate ``x <- step(x, rows)`` from x0 until it settles, overflows or
+    the budget of t_max steps runs out.
+
+    The residual is the step norm ``||x' - x|| / sqrt(N)``; a state settles
+    once it is at most tol, and overflows once it is not finite or its norm
+    exceeds 1e120.  The final residual is ``inf`` after an overflow and the
+    last (finite) one when the budget runs out.  For a single vector x0
+    (``rows`` is None) the result is a :class:`FixedPointResult`.  For a
+    stack of rows (k x N) each row stops on its own: ``step`` receives the
+    rows still running and their indices ``rows``, and the result is the
+    array of the k final residuals.
+    """
+    x, residual = x0, math.inf
+    sqrt_n = math.sqrt(x.shape[-1])
+    if x.ndim == 1:
+        for t in range(1, t_max + 1):
+            x_next = step(x, None)
+            residual = float(np.linalg.norm(x_next - x) / sqrt_n)
+            x = x_next
+            if not np.linalg.norm(x) <= _OVERFLOW_NORM:
+                return FixedPointResult(x, t, math.inf, False)
+            if residual <= tol:
+                return FixedPointResult(x, t, residual, True)
+        return FixedPointResult(x, t_max, residual, False)
+    out = np.full(x.shape[0], math.inf)
+    rows = np.arange(x.shape[0])
+    for _ in range(t_max):
+        x_next = step(x, rows)
+        residual = np.linalg.norm(x_next - x, axis=1) / sqrt_n
+        x = x_next
+        overflow = ~(np.linalg.norm(x, axis=1) <= _OVERFLOW_NORM)
+        settled = ~overflow & (residual <= tol)
+        out[rows[settled]] = residual[settled]
+        keep = ~(overflow | settled)
+        rows, x, residual = rows[keep], x[keep], residual[keep]
+        if rows.size == 0:
+            break
+    out[rows] = residual
+    return out
+
+
 @dataclass(frozen=True)
 class Summary:
     """Mean, median, standard error and quartiles of a Monte-Carlo sample.

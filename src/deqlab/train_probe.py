@@ -17,10 +17,7 @@ import numpy as np
 
 from . import numerics
 from .ensembles import EnsembleSpec, Family, sample, seed_for
-from .linear_deq import FixedPointResult
 from .nonlinear_deq import Nonlinearity
-
-_OVERFLOW_NORM = 1e120
 
 
 @dataclass(frozen=True)
@@ -52,25 +49,15 @@ def deq_forward(
     phi: Nonlinearity,
     tol: float = 1e-10,
     t_max: int = 5000,
-) -> FixedPointResult:
-    """Fixed point of ``z <- phi(W z) + x`` by direct iteration.
+) -> numerics.FixedPointResult:
+    """Fixed point of ``z <- phi(W z) + x`` by direct iteration from x, with
+    ``numerics.fixed_point``.
 
     Divergence is flagged (converged=False), not raised.
     """
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    z = x.copy()
-    residual = math.inf
-    for t in range(1, t_max + 1):
-        z_next = phi.phi(w @ z) + x
-        residual = float(np.linalg.norm(z_next - z) / math.sqrt(n))
-        z = z_next
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > _OVERFLOW_NORM:
-            return FixedPointResult(z, t, math.inf, False)
-        if residual <= tol:
-            return FixedPointResult(z, t, residual, True)
-    return FixedPointResult(z, t_max, residual, False)
+    return numerics.fixed_point(lambda z, _: phi.phi(w @ z) + x, x, t_max, tol)
 
 
 def deq_vjp(

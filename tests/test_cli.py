@@ -186,6 +186,25 @@ class TestCliRuns:
         missing_dir = tmp_path / "absent" / "out.csv"
         assert _run_cli(["moments", "--grid", "0.5:0.5:1", "--out", str(missing_dir)]) == 2
 
+    def test_missing_output_directory_fails_before_running(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(config, parallel_map):
+            pytest.fail("the experiment ran before the output directory was checked")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig2", must_not_run)
+        out = tmp_path / "nodir" / "t.csv"
+        args = ["fig2", "--n", "40", "--seeds", "2", "--grid", "0.3:0.3:1", "--families", "random"]
+        assert _run_cli([*args, "--out", str(out)]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, code", [("fig2", 0), ("fig3", 1), ("fig4", 1)])
+    def test_goe_radius_needs_zero_one_gate(self, experiment, code, tmp_path, capsys):
+        out = tmp_path / "goe.csv"
+        args = [experiment, "--n", "40", "--seeds", "2", "--grid", "0.3:0.3:1", "--families", "goe", "--phi", "tanh"]
+        assert _run_cli([*args, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "config error: " + experiment + " on goe needs phi" in capsys.readouterr().err
+
     def test_train_probe_small(self, tmp_path):
         out = tmp_path / "tp.csv"
         code = _run_cli(

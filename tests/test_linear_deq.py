@@ -227,6 +227,14 @@ class TestConvergenceBound:
         ]
         assert np.mean(held) >= 0.95
 
+    def test_overflowing_iterate_is_diverged(self):
+        check = ld.check_convergence_bound(3.0 * np.eye(4), np.ones(4), t=500, v=0.5)
+        assert check.diverged and not check.holds and check.lhs == math.inf
+
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            ld.check_convergence_bound(np.zeros((4, 4)), np.ones(4), t=0, v=0.5)
+
 
 class TestLinearKernels:
     def test_zero_scale(self):

@@ -217,7 +217,7 @@ class TestResidualSweep:
         seed = seed_for(5, Family.RANDOM, 0, 0)
         w_unit = sample(EnsembleSpec(Family.RANDOM, n, 1.0), seed)
         x = seed.child(1).generator().standard_normal(n)
-        got = nl._probe_residuals(w_unit, x, scales, phi, t_probe, floor)
+        got = nl._probe_residuals(w_unit, x, scales, phi, t_probe)
         for sq, value in zip(scales, got):
             w = sq * w_unit
             h = np.zeros(n)

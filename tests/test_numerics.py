@@ -8,6 +8,54 @@ from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.freeprob import kolmogorov_distance, semicircle_cdf
 
 
+def _affine_step(a):
+    """``x <- a x + 1``; per row of a stack when a is an array."""
+    return lambda x, rows: (a if rows is None else a[rows, None]) * x + 1.0
+
+
+class TestFixedPoint:
+    n = 4
+
+    def test_single_vector_converges(self):
+        res = numerics.fixed_point(_affine_step(0.5), np.zeros(self.n), 1000, 1e-10)
+        # the step norm halves each step from 1: the first one <= 1e-10 is 0.5**34
+        assert res.converged and res.iterations == 35
+        assert res.final_residual == 0.5**34
+        assert np.allclose(res.solution, 2.0)
+
+    def test_single_vector_budget_runs_out(self):
+        res = numerics.fixed_point(_affine_step(-1.0), np.zeros(self.n), 7, 1e-10)
+        assert not res.converged and res.iterations == 7
+        assert res.final_residual == 1.0
+
+    def test_single_vector_overflow(self):
+        res = numerics.fixed_point(_affine_step(10.0), np.zeros(self.n), 1000, 1e-10)
+        # ||x_t|| = 2 (10**t - 1) / 9 first exceeds 1e120 at t = 121
+        assert not res.converged and res.iterations == 121
+        assert res.final_residual == math.inf
+
+    def test_nonfinite_state_is_overflow(self):
+        res = numerics.fixed_point(lambda x, _: x + np.nan, np.zeros(self.n), 10, 1e-10)
+        assert not res.converged and res.iterations == 1 and res.final_residual == math.inf
+
+    def test_stacked_rows_leave_on_their_own(self):
+        a = np.array([0.5, -1.0, 10.0])  # settles at 35, runs out of budget, overflows at 121
+        seen = []
+        step = _affine_step(a)
+
+        def recording_step(x, rows):
+            seen.append(rows.copy())
+            return step(x, rows)
+
+        got = numerics.fixed_point(recording_step, np.zeros((3, self.n)), 200, 1e-10)
+        assert len(seen) == 200
+        assert [sum(row in rows for rows in seen) for row in range(3)] == [35, 200, 121]
+        for row in range(3):
+            single = numerics.fixed_point(_affine_step(a[row]), np.zeros(self.n), 200, 1e-10)
+            assert got[row] == single.final_residual
+        assert got[0] <= 1e-10 and got[1] == 1.0 and got[2] == math.inf
+
+
 class TestSolveLinear:
     def test_identity(self):
         b = np.arange(1.0, 6.0)
