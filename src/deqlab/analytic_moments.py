@@ -61,10 +61,6 @@ def delta_to_scale(family: Family, weight_mode: WeightMode, delta: float) -> flo
     return critical_scale(family, weight_mode) * (1.0 - delta)
 
 
-def scale_to_delta(family: Family, weight_mode: WeightMode, scale: float) -> float:
-    return 1.0 - scale / critical_scale(family, weight_mode)
-
-
 def _check_subcritical(family: Family, weight_mode: WeightMode, v: float) -> None:
     if v < 0 or not math.isfinite(v):
         raise ValueError(f"scale must be finite and >= 0, got {v}")
@@ -89,9 +85,8 @@ class MomentQuery:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Theory value for one query, optionally paired with a Monte-Carlo run."""
+    """A theory value, optionally paired with a Monte-Carlo run."""
 
-    query: MomentQuery
     theory_value: float
     mc_mean: float | None = None
     mc_stderr: float | None = None
@@ -106,13 +101,6 @@ class MomentReport:
             raise ValueError("diverged count cannot exceed seed count")
 
 
-def catalan(k: int) -> int:
-    """k-th Catalan number, exact integer arithmetic."""
-    if k < 0:
-        raise ValueError(f"Catalan index must be >= 0, got {k}")
-    return math.comb(2 * k, k) // (k + 1)
-
-
 def catalan_generating(x: float) -> float:
     """``sum_k C_k x^k = (1 - sqrt(1 - 4x)) / (2x)`` for ``x < 1/4``."""
     if x == 0.0:
@@ -125,12 +113,12 @@ def catalan_generating(x: float) -> float:
 _SERIES_CAP = 200_000
 
 
-def _sum_series(terms, v: float, rel_cutoff: float = 1e-14) -> float:
-    """Sum the series at scale v until a term drops below rel_cutoff of the total."""
+def _sum_series(terms, v: float) -> float:
+    """Sum the series at scale v until a term drops below 1e-14 of the total."""
     total = 0.0
     for i, t in zip(range(_SERIES_CAP), terms):
         total += t
-        if i > 4 and abs(t) < rel_cutoff * max(abs(total), 1e-300):
+        if i > 4 and abs(t) < 1e-14 * max(abs(total), 1e-300):
             return total
     raise RuntimeError(f"series did not converge within {_SERIES_CAP} terms at scale {v}")
 
@@ -203,19 +191,6 @@ def length_variance_theory(family: Family, weight_mode: WeightMode, v: float) ->
     # Tied GOE: (1/4V) ((1-4V)^{-5/2} - (1-4V)^{-3/2}), which simplifies to
     # (1-4V)^{-5/2}; the V -> 0 limit is 1.
     return (1.0 - 4.0 * v) ** -2.5
-
-
-def tied_orthogonal_series(v: float, rel_cutoff: float = 1e-14) -> float:
-    """``sum_i (i+1)^2 V^i``, the series route to the tied-orthogonal T(V)."""
-    _check_subcritical(Family.ORTHOGONAL, WeightMode.TIED, v)
-
-    def terms():
-        vi = 1.0
-        for i in itertools.count():
-            yield (i + 1) ** 2 * vi
-            vi *= v
-
-    return _sum_series(terms(), v, rel_cutoff)
 
 
 def goe_tied_integral(v: float) -> float:

@@ -145,6 +145,15 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
             errors.append(f"{config.experiment} grid values are deltas in (0, 1]; got {bad}")
     if config.experiment in ("fig3", "fig4") and Family.GOE in config.families and config.phi not in ZERO_ONE_GATES:
         errors.append(f"{config.experiment} on goe needs phi {' or '.join(ZERO_ONE_GATES)} (a 0/1 gate), got {config.phi!r}")
+    if config.experiment in ("fig2", "fig3") and config.phi == "identity" and config.grid is not None:
+        # s = V (s + 1) has a bounded root only for V < 1
+        bad = [g for g in config.grid if g >= 1.0]
+        if bad:
+            errors.append(f"{config.experiment} with phi identity has no bounded variance at sqrt(V) >= 1; got {bad}")
+    if config.dataset_size < 1:
+        errors.append(f"dataset_size must be >= 1, got {config.dataset_size}")
+    if config.steps < 0:
+        errors.append(f"steps must be >= 0, got {config.steps}")
     if errors:
         raise ConfigError(errors)
     return config

@@ -110,11 +110,3 @@ def sample(spec: EnsembleSpec, seed: SeedDerivation) -> np.ndarray:
     w = w + w.T
     np.fill_diagonal(w, np.diag(a) * np.sqrt(2.0 * v / n))
     return w
-
-
-def empirical_gram_trace(w: np.ndarray) -> float:
-    """Normalized trace of ``W^T W``: ``(1/N) sum_ij W_ij^2``."""
-    w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    return float(np.sum(w * w) / w.shape[0])

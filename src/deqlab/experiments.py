@@ -218,7 +218,7 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
     """
     phi = NONLINEARITIES[config.phi]
     v = sqrt_v * sqrt_v
-    sigma_h_sq = sigma_h_selfconsistent(v, SIGMA_X_SQ, 0.0, phi).sigma_h_sq
+    sigma_h_sq = sigma_h_selfconsistent(v, phi).sigma_h_sq
     if config.experiment == "fig2":
         statistic, theory = "sigma_h_sq", sigma_h_sq
     else:
@@ -259,14 +259,14 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
 # ---------------------------------------------------------------------------
 
 
-def run_fig4(config: ExperimentConfig, parallel_map=map, t_probe: int = 500) -> list[ResultRow]:
+def run_fig4(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
     """Default grid: 0.8x to 1.3x each family's predicted critical sqrt(V)."""
     phi = NONLINEARITIES[config.phi]
 
     def one_family(family: Family) -> list[ResultRow]:
-        predicted = predict_critical_v(family, phi, SIGMA_X_SQ)
+        predicted = predict_critical_v(family, phi)
         grid = config.grid or [predicted * m for m in np.linspace(0.8, 1.3, 11)]
-        cells = residual_sweep([family], grid, config.n, config.seeds, t_probe=t_probe, phi=phi, base_seed=config.seed)
+        cells = residual_sweep([family], grid, config.n, config.seeds, phi=phi, base_seed=config.seed)
         return [
             ResultRow(
                 experiment="fig4",

@@ -39,10 +39,6 @@ class PowerSeries:
         if not coeffs or coeffs[0] != 0:
             raise ValueError("moment generating series must have zero constant term")
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
     def coefficient(self, k: int):
         return self.coefficients[k]
 
@@ -61,7 +57,6 @@ class StieltjesFn:
 
     fn: object
     support: tuple[float, float]
-    description: str = ""
 
     def __call__(self, z):
         return self.fn(z)
@@ -158,7 +153,7 @@ def goe_resolvent_stieltjes(v: float) -> StieltjesFn:
         z = np.asarray(z, dtype=complex)
         return (goe_resolvent_mgf_value(z, v) + 1.0) / z
 
-    return StieltjesFn(g, support, "principal branches through the support edges")
+    return StieltjesFn(g, support)
 
 
 def goe_resolvent_mgf(v: float, k_max: int = 8) -> PowerSeries:
@@ -257,7 +252,7 @@ def random_gram_moment_series(v, k_max: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
-def hardtanh_jacobian_density(p: float, v: float, n_grid: int = 2001) -> SpectralDensity:
+def hardtanh_jacobian_density(p: float, v: float) -> SpectralDensity:
     """Spectrum of ``diag(phi') W`` for GOE W at scale V, hard-tanh phi.
 
     An atom at 0 of mass ``1 - p`` plus a semicircle of mass p and radius
@@ -270,50 +265,22 @@ def hardtanh_jacobian_density(p: float, v: float, n_grid: int = 2001) -> Spectra
     radius = 2.0 * math.sqrt(v * p)
     if p == 0.0 or radius == 0.0:
         return SpectralDensity(atoms=((0.0, 1.0),), grid=np.array([-1.0, 1.0]), density=np.zeros(2))
-    grid = np.linspace(-radius, radius, n_grid)
+    grid = np.linspace(-radius, radius, 2001)
     density = semicircle_density(grid, radius, mass=p)
     density *= p / np.trapezoid(density, grid)  # pin the trapezoidal mass to p exactly
     atoms = ((0.0, 1.0 - p),) if p < 1.0 else ()
     return SpectralDensity(atoms=atoms, grid=grid, density=density)
 
 
-def hardtanh_jacobian_stieltjes(p: float, v: float) -> StieltjesFn:
-    """Transform of the hard-tanh Jacobian spectrum: atom plus semicircle."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"active probability must lie in [0, 1], got {p}")
-    radius = 2.0 * math.sqrt(v * p)
-
-    def g(z):
-        z = np.asarray(z, dtype=complex)
-        out = (1.0 - p) / z
-        if radius > 0:
-            out = out + p * 2.0 / (radius * radius) * (z - _sqrt_two_cuts(z, -radius, radius))
-        else:
-            out = out + p / z
-        return complex(out) if out.ndim == 0 else out
-
-    return StieltjesFn(g, (-radius, radius), "atom at 0 plus scaled semicircle branch")
-
-
-def density_from_stieltjes(
-    g,
-    grid: np.ndarray,
-    eps: float = 1e-3,
-    atom_mass_min: float = 5e-3,
-) -> SpectralDensity:
+def density_from_stieltjes(g, grid: np.ndarray) -> SpectralDensity:
     """Recover a spectral density from boundary values ``-Im G(x + i eps)/pi``.
 
-    Evaluates at eps and 2*eps and extrapolates linearly to the axis.  Atoms
-    announce themselves as 1/eps spikes: grid points where the implied mass
-    ``pi * eps * rho`` exceeds ``atom_mass_min`` and the two-eps ratio is
-    near 2 are grouped, the atom mass is read off as
-    ``2 pi eps (rho_eps - rho_2eps)`` at the spike peak, and the atom's
-    Lorentzian tail is subtracted before extrapolating the smooth part.
-    Raises on Herglotz violations.  The recovered density carries smoothing
-    error O(eps), so normalization is only enforced loosely.
+    Evaluates at eps = 1e-3 and 2 eps and extrapolates linearly to the axis.
+    Raises on Herglotz violations.  The transform must have no atoms (their
+    1/eps spikes are not separated out).  The recovered density carries
+    smoothing error O(eps), so normalization is only enforced loosely.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    eps = 1e-3
     grid = np.asarray(grid, dtype=float)
     g1 = np.asarray(g(grid + 1j * eps), dtype=complex)
     g2 = np.asarray(g(grid + 2j * eps), dtype=complex)
@@ -322,26 +289,8 @@ def density_from_stieltjes(
         raise ValueError("Herglotz violation: Im G > 0 in the upper half plane")
     rho1 = -g1.imag / math.pi
     rho2 = -g2.imag / math.pi
-
-    implied_mass = math.pi * eps * rho1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rho2 > 0, rho1 / rho2, np.inf)
-    spike = (implied_mass > atom_mass_min) & (ratio > 1.6)
-
-    atoms: list[tuple[float, float]] = []
-    idx = np.flatnonzero(spike)
-    if idx.size:
-        groups = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-        for group in groups:
-            peak = group[np.argmax(rho1[group])]
-            mass = 2.0 * math.pi * eps * (rho1[peak] - rho2[peak])
-            atoms.append((float(grid[peak]), float(min(max(mass, 0.0), 1.0))))
-
-    for loc, mass in atoms:
-        rho1 -= mass * eps / (math.pi * ((grid - loc) ** 2 + eps**2))
-        rho2 -= mass * 2.0 * eps / (math.pi * ((grid - loc) ** 2 + 4.0 * eps**2))
     density = np.clip(2.0 * rho1 - rho2, 0.0, None)
-    return SpectralDensity(atoms=tuple(atoms), grid=grid, density=density, norm_tol=0.05)
+    return SpectralDensity(atoms=(), grid=grid, density=density, norm_tol=0.05)
 
 
 def recovery_grid(support: tuple[float, float], n_grid: int = 2001) -> np.ndarray:

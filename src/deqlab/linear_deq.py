@@ -17,16 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .analytic_moments import (
-    MomentQuery,
-    MomentReport,
-    Quantity,
-    WeightMode,
-    critical_scale,
-    gram_trace_factor_theory,
-    length_variance_theory,
-    variance_factor_theory,
-)
+from .analytic_moments import MomentReport, WeightMode, length_variance_theory, variance_factor_theory
 from .ensembles import EnsembleSpec, SeedDerivation, sample, seed_for
 
 
@@ -93,25 +84,18 @@ def untied_propagator(spec: EnsembleSpec, seed: SeedDerivation, t_stop: int) -> 
     return m
 
 
-def untied_truncation_depth(v: float, bias_tol: float = 1e-6) -> int:
-    """Smallest t with ``V^t < bias_tol`` (series tail below the noise floor)."""
+def untied_truncation_depth(v: float) -> int:
+    """Smallest t with ``V^t < 1e-6`` (series tail below the noise floor)."""
     if not 0.0 <= v < 1.0:
         raise ValueError(f"need 0 <= V < 1, got {v}")
     if v == 0.0:
         return 1
-    return max(1, math.ceil(math.log(bias_tol) / math.log(v)))
+    return max(1, math.ceil(math.log(1e-6) / math.log(v)))
 
 
-def _stats_report(
-    query: MomentQuery,
-    theory: float,
-    values: list[float],
-    n_seeds: int,
-    n_diverged: int,
-) -> MomentReport:
+def _stats_report(theory: float, values: list[float], n_seeds: int, n_diverged: int) -> MomentReport:
     s = numerics.summarize(values)
     return MomentReport(
-        query=query,
         theory_value=theory,
         mc_mean=s.mean,
         mc_stderr=s.stderr,
@@ -136,7 +120,6 @@ def estimate_moments(
     if n_seeds < 2:
         raise ValueError("need at least 2 seeds")
     spec, x, mode = problem.spec, problem.x, problem.weight_mode
-    query = MomentQuery(spec.family, mode, spec.scale, Quantity.VARIANCE_FACTOR)
     theory = variance_factor_theory(spec.family, mode, spec.scale)
     xx = float(x @ x)
     if xx == 0.0:
@@ -158,7 +141,7 @@ def estimate_moments(
             n_diverged += 1
     if not values:
         raise numerics.SingularMatrixError("all seeds diverged")
-    return _stats_report(query, theory, values, n_seeds, n_diverged)
+    return _stats_report(theory, values, n_seeds, n_diverged)
 
 
 def estimate_length_variance(
@@ -181,7 +164,6 @@ def estimate_length_variance(
     weight_mode = WeightMode(weight_mode)
     if estimator_mode not in ("exact", "hutchinson"):
         raise ValueError(f"unknown estimator mode {estimator_mode!r}")
-    query = MomentQuery(spec.family, weight_mode, spec.scale, Quantity.LENGTH_VARIANCE_T)
     theory = length_variance_theory(spec.family, weight_mode, spec.scale)
     values: list[float] = []
     n_diverged = 0
@@ -206,7 +188,7 @@ def estimate_length_variance(
             n_diverged += 1
     if not values:
         raise numerics.SingularMatrixError("all seeds diverged")
-    return _stats_report(query, theory, values, n_seeds, n_diverged)
+    return _stats_report(theory, values, n_seeds, n_diverged)
 
 
 @dataclass(frozen=True)
@@ -239,74 +221,3 @@ def check_convergence_bound(w: np.ndarray, x: np.ndarray, t: int, v: float) -> B
         return BoundCheck(False, math.inf, rhs, diverged=True)
     lhs = float(np.max((z_star - fp.solution) ** 2))
     return BoundCheck(lhs <= rhs, lhs, rhs)
-
-
-@dataclass(frozen=True)
-class LinearKernels:
-    """Empirical output-covariance and gradient kernels with the theory factor.
-
-    ``nngp_empirical`` is ``E[z*(x) . z*(x')] / N``.  ``ntk_empirical`` is the
-    gradient-alignment kernel divided by ``x . x'``, so at V = 0 it equals 1;
-    the matching theory factor is the squared normalized gram trace of
-    ``(I - W)^{-1}``.
-    """
-
-    nngp_empirical: float
-    ntk_empirical: float
-    ntk_stderr: float | None
-    ntk_theory_factor: float
-    n_seeds: int
-    n_diverged: int
-
-
-def linear_kernels(
-    spec: EnsembleSpec,
-    x: np.ndarray,
-    x_prime: np.ndarray,
-    n_seeds: int,
-    base_seed: int = 0,
-) -> LinearKernels:
-    """Monte-Carlo kernels of the linear layer with readout ``f = v . z*``.
-
-    Per seed: draw W and a readout v with coordinate variance 1/N; the
-    gradient of f with respect to W is the rank-one matrix
-    ``((I-W)^{-T} v) z*^T``, so the kernel sample for an input pair is
-    ``||(I-W)^{-T} v||^2 * (z*(x) . z*(x'))``.
-    """
-    if critical_scale(spec.family, WeightMode.TIED) <= spec.scale:
-        raise ValueError("kernels require a subcritical scale")
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(x_prime, dtype=float)
-    xxp = float(x @ xp)
-    if xxp == 0.0:
-        raise ValueError("x . x' must be nonzero to normalize the kernel")
-    n = spec.dim
-    eye = np.eye(n)
-    gram_factor = gram_trace_factor_theory(spec.family, WeightMode.TIED, spec.scale)
-    nngp_vals: list[float] = []
-    ntk_vals: list[float] = []
-    n_diverged = 0
-    for rep in range(n_seeds):
-        seed = seed_for(base_seed, spec.family, 1, rep)
-        w = sample(spec, seed)
-        try:
-            z = numerics.solve_linear(eye - w, x)
-            zp = numerics.solve_linear(eye - w, xp)
-            v = seed.child(2).generator().standard_normal(n) / math.sqrt(n)
-            a = numerics.solve_linear(eye - w.T, v)
-        except numerics.SingularMatrixError:
-            n_diverged += 1
-            continue
-        nngp_vals.append(float(z @ zp) / n)
-        ntk_vals.append(float(a @ a) * float(z @ zp) / xxp)
-    if not ntk_vals:
-        raise numerics.SingularMatrixError("all seeds diverged")
-    ntk = numerics.summarize(ntk_vals)
-    return LinearKernels(
-        nngp_empirical=numerics.summarize(nngp_vals).mean,
-        ntk_empirical=ntk.mean,
-        ntk_stderr=ntk.stderr,
-        ntk_theory_factor=gram_factor**2,
-        n_seeds=n_seeds,
-        n_diverged=n_diverged,
-    )

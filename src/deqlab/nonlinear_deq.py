@@ -56,7 +56,7 @@ class UnsupportedNonlinearityError(ValueError):
 
 @dataclass(frozen=True)
 class SelfConsistentState:
-    """Solution of ``sigma_h^2 = V (sigma_phi^2 + 2 C + sigma_x^2)``.
+    """Solution of ``sigma_h^2 = V (sigma_phi^2 + sigma_x^2)``.
 
     ``p_active`` is the mean derivative gate E[phi'(h)] under
     ``h ~ N(0, sigma_h^2)`` (the active-set probability for hard-tanh).
@@ -64,11 +64,8 @@ class SelfConsistentState:
 
     sigma_h_sq: float
     sigma_phi_sq: float
-    c_x_phi: float
     p_active: float
     scale: float
-    sigma_x_sq: float
-    mean_x: float
     iterations: int
     residual: float
 
@@ -92,42 +89,30 @@ def iterate_h(
     return numerics.fixed_point(lambda h, _: w @ phi.phi(h) + wx, np.zeros(x.shape[0]), t_max, tol)
 
 
-def sigma_h_selfconsistent(
-    v: float,
-    sigma_x_sq: float,
-    mean_x: float,
-    phi: Nonlinearity,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> SelfConsistentState:
+def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
     """Solve the scalar fixed point for the pre-activation variance.
 
-    Models ``h_i ~ N(0, s)`` and damps ``s <- (1-a) s + a V (E[phi(h)^2]
-    + 2 mean_x E[phi(h)] + sigma_x^2)`` until the update falls below tol.
-    Gaussian expectations go through the quadrature kernel, so kinked maps
-    (hard-tanh) are handled exactly.
+    Models ``h_i ~ N(0, s)`` with inputs of coordinate variance SIGMA_X_SQ
+    and damps ``s <- s + (V (E[phi(h)^2] + SIGMA_X_SQ) - s) / 2`` until the
+    update falls to 1e-10, within 10,000 steps.  Gaussian expectations go
+    through the quadrature kernel, so kinked maps (hard-tanh) are handled
+    exactly.
     """
-    if v < 0 or sigma_x_sq < 0:
-        raise ValueError("scale and input variance must be >= 0")
-
-    def rhs_parts(s: float) -> tuple[float, float]:
-        sig_phi = numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
-        c = 0.0 if mean_x == 0.0 else mean_x * numerics.gauss_hermite_expect(phi.phi, 0.0, s)
-        return sig_phi, c
-
-    s = v * sigma_x_sq
-    growth_cap = 1e12 * max(1.0, sigma_x_sq) * max(1.0, v)
+    if v < 0:
+        raise ValueError("scale must be >= 0")
+    max_iter = 10_000
+    s = v * SIGMA_X_SQ
+    growth_cap = 1e12 * max(1.0, v)
     residual = math.inf
     prev_delta: float | None = None
     for it in range(1, max_iter + 1):
-        sig_phi, c = rhs_parts(s)
-        target = v * (sig_phi + 2.0 * c + sigma_x_sq)
+        sig_phi = numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
+        target = v * (sig_phi + SIGMA_X_SQ)
         residual = abs(target - s)
-        if residual <= tol:
+        if residual <= 1e-10:
             p = numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
-            return SelfConsistentState(s, sig_phi, c, p, v, sigma_x_sq, mean_x, it, residual)
-        delta = damping * (target - s)
+            return SelfConsistentState(s, sig_phi, p, v, it, residual)
+        delta = 0.5 * (target - s)
         # Aitken jump when successive damped steps contract geometrically;
         # without it the iteration stalls near-threshold where the
         # contraction rate approaches 1.
@@ -143,7 +128,7 @@ def sigma_h_selfconsistent(
         prev_delta = delta
         if not math.isfinite(s) or s < 0 or s > growth_cap:
             break
-    state = SelfConsistentState(s, math.nan, math.nan, math.nan, v, sigma_x_sq, mean_x, max_iter, residual)
+    state = SelfConsistentState(s, math.nan, math.nan, v, max_iter, residual)
     raise SelfConsistencyError(
         f"no self-consistent variance after {max_iter} damped iterations (residual {residual:.2e})",
         state,
@@ -207,7 +192,7 @@ def ginibre_edge_factor(m: float) -> float:
     return 1.0 + math.sqrt(g / (4.0 * m)) + _EULER_GAMMA / math.sqrt(4.0 * m * g)
 
 
-def radius_empirical(w: np.ndarray, h_star: np.ndarray, phi: Nonlinearity, tol: float = 1e-3) -> float:
+def radius_empirical(w: np.ndarray, h_star: np.ndarray, phi: Nonlinearity) -> float:
     """Spectral radius of ``W diag(phi'(h*))``.
 
     Symmetric W: same spectrum as ``diag(sqrt(phi')) W diag(sqrt(phi'))``,
@@ -224,13 +209,12 @@ def radius_empirical(w: np.ndarray, h_star: np.ndarray, phi: Nonlinearity, tol: 
         sym = root[:, None] * w * root[None, :]
         eigs = numerics.sym_spectrum(sym)
         return float(np.max(np.abs(eigs)))
-    return numerics.spectral_radius_estimate(w * gates[None, :], tol=tol)
+    return numerics.spectral_radius_estimate(w * gates[None, :])
 
 
 def predict_critical_v(
     family: Family,
     phi: Nonlinearity,
-    sigma_x_sq: float,
     bracket: tuple[float, float] = (0.05, 4.0),
     tol: float = 1e-4,
 ) -> float:
@@ -243,7 +227,7 @@ def predict_critical_v(
     def excess(sq: float) -> float:
         v = sq * sq
         try:
-            state = sigma_h_selfconsistent(v, sigma_x_sq, 0.0, phi)
+            state = sigma_h_selfconsistent(v, phi)
         except SelfConsistencyError:
             # No bounded variance solution: the layer is certainly unstable.
             return math.inf
@@ -339,60 +323,3 @@ def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe):
         _CONVERGE_FLOOR,
     )
     return np.minimum(residuals, _RESIDUAL_CLIP)
-
-
-@dataclass(frozen=True)
-class NtkEstimate:
-    mean: float
-    stderr: float | None
-    n_seeds: int
-    n_diverged: int
-
-
-def ntk_nonlinear_empirical(
-    spec: EnsembleSpec,
-    x: np.ndarray,
-    x_prime: np.ndarray,
-    phi: Nonlinearity,
-    n_seeds: int,
-    base_seed: int = 0,
-    t_max: int = 2000,
-    tol: float = 1e-10,
-) -> NtkEstimate:
-    """Monte-Carlo gradient kernel of the nonlinear layer over matrix seeds.
-
-    Per seed the sample is ``tr_N[(I - D W)^{-T} (I - D' W)^{-1}] *
-    (phi'(h*) o z*) . (phi'(h*') o z*')`` with the derivative gates evaluated
-    at the pre-activations (the linearization point of the forward map; the
-    implicit-gradient tests pin this choice down).  Non-converged seeds are
-    excluded and counted.
-    """
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(x_prime, dtype=float)
-    n = spec.dim
-    eye = np.eye(n)
-    vals: list[float] = []
-    n_diverged = 0
-    for rep in range(n_seeds):
-        seed = seed_for(base_seed, spec.family, 3, rep)
-        w = sample(spec, seed)
-        fp = iterate_h(w, x, phi, t_max=t_max, tol=tol)
-        fpp = iterate_h(w, xp, phi, t_max=t_max, tol=tol)
-        if not (fp.converged and fpp.converged):
-            n_diverged += 1
-            continue
-        h, hp = fp.solution, fpp.solution
-        z, zp = phi.phi(h) + x, phi.phi(hp) + xp
-        d, dp = phi.dphi(h), phi.dphi(hp)
-        try:
-            inv1 = numerics.solve_linear(eye - d[:, None] * w, eye)
-            inv2 = numerics.solve_linear(eye - dp[:, None] * w, eye)
-        except numerics.SingularMatrixError:
-            n_diverged += 1
-            continue
-        jac_align = float(np.sum(inv1 * inv2)) / n
-        vals.append(jac_align * float((d * z) @ (dp * zp)))
-    if not vals:
-        raise numerics.SingularMatrixError("all seeds diverged")
-    s = numerics.summarize(vals)
-    return NtkEstimate(s.mean, s.stderr, n_seeds, n_diverged)

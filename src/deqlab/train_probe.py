@@ -22,25 +22,25 @@ from .nonlinear_deq import Nonlinearity
 
 @dataclass(frozen=True)
 class ProbeTask:
-    """Synthetic regression task: targets ``y = u . x + noise``, fixed u.
+    """Synthetic regression task: targets ``y = u . x + noise``, fixed u and
+    noise standard deviation 0.1.
 
-    The readout vector and weights are trained; the train/validation split is
-    a fixed prefix/suffix of the deterministically generated samples.
+    The readout vector and weights are trained on the first 80% (at least
+    one) of the deterministically generated samples.
     """
 
     teacher_seed: int
     n_samples: int
     dim: int
-    noise_std: float = 0.1
-    train_fraction: float = 0.8
 
-    def dataset(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def dataset(self) -> tuple[np.ndarray, np.ndarray]:
+        """The training inputs and targets."""
         rng = np.random.default_rng(np.random.SeedSequence(self.teacher_seed))
         u = rng.standard_normal(self.dim) / math.sqrt(self.dim)
         xs = rng.standard_normal((self.n_samples, self.dim))
-        ys = xs @ u + self.noise_std * rng.standard_normal(self.n_samples)
-        n_train = max(1, int(self.train_fraction * self.n_samples))
-        return xs[:n_train], ys[:n_train], xs[n_train:], ys[n_train:]
+        ys = xs @ u + 0.1 * rng.standard_normal(self.n_samples)
+        n_train = max(1, int(0.8 * self.n_samples))
+        return xs[:n_train], ys[:n_train]
 
 
 def deq_forward(
@@ -93,7 +93,6 @@ def deq_vjp(
 class TrainRecord:
     family: Family
     sqrt_scale: float
-    seed: int
     final_train_loss: float
     diverged: bool
     steps_to_threshold: int | None
@@ -109,7 +108,7 @@ class TrainCellSummary:
     n_seeds: int
 
 
-def _mse_and_grads(w, v, xs, ys, phi, forward_tol=1e-10):
+def _mse_and_grads(w, v, xs, ys, phi):
     """Loss, dL/dW, dL/dv over a batch; None gradients signal solver failure."""
     n_samples = xs.shape[0]
     preds = np.empty(n_samples)
@@ -117,7 +116,7 @@ def _mse_and_grads(w, v, xs, ys, phi, forward_tol=1e-10):
     grad_v = np.zeros_like(v)
     z_stars = []
     for i in range(n_samples):
-        fp = deq_forward(w, xs[i], phi, tol=forward_tol)
+        fp = deq_forward(w, xs[i], phi)
         if not fp.converged:
             return math.inf, None, None
         z_stars.append(fp.solution)
@@ -144,15 +143,14 @@ def train_stability_sweep(
     steps: int,
     phi: Nonlinearity,
     base_seed: int = 0,
-    loss_cap: float = 1e3,
 ) -> list[TrainRecord]:
     """Plain gradient descent on (W, v) per (family, sqrt-scale, seed).
 
     A cell diverges when the forward solver fails or the train loss exceeds
-    the cap; steps_to_threshold is the first step at which the train loss
+    1e3; steps_to_threshold is the first step at which the train loss
     falls below half its initial value (absent for diverged runs).
     """
-    xs_train, ys_train, _, _ = task.dataset()
+    xs_train, ys_train = task.dataset()
     records: list[TrainRecord] = []
     for family in families:
         family = Family(family)
@@ -170,7 +168,7 @@ def train_stability_sweep(
                 for step in range(1, steps + 1):
                     if step > 1:
                         loss, gw, gv = _mse_and_grads(w, v, xs_train, ys_train, phi)
-                    if gw is None or loss > loss_cap:
+                    if gw is None or loss > 1e3:
                         diverged = True
                         break
                     if steps_hit is None and loss < 0.5 * loss0:
@@ -181,7 +179,6 @@ def train_stability_sweep(
                     TrainRecord(
                         family=family,
                         sqrt_scale=sq,
-                        seed=rep,
                         final_train_loss=float(loss) if math.isfinite(loss) else math.inf,
                         diverged=diverged,
                         steps_to_threshold=None if diverged else steps_hit,

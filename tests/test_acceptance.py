@@ -36,7 +36,6 @@ from deqlab.linear_deq import LinearDeqProblem, check_convergence_bound, estimat
 from deqlab.nonlinear_deq import (
     HARD_TANH,
     IDENTITY,
-    SIGMA_X_SQ,
     ginibre_edge_factor,
     sigma_h_selfconsistent,
 )
@@ -186,7 +185,7 @@ def test_criterion_06_spectral_radius_sweep():
             # statistic: the active m x m block is Ginibre, whose expected
             # radius overshoots the edge by ginibre_edge_factor(m).  m comes
             # from the predicted gate probability, never the measured one.
-            p_active = sigma_h_selfconsistent(row.v, SIGMA_X_SQ, 0.0, HARD_TANH).p_active
+            p_active = sigma_h_selfconsistent(row.v, HARD_TANH).p_active
             reference = row.theory * ginibre_edge_factor(p_active * config.n)
             corrected = row.emp_mean / reference - 1.0
             ok &= abs(corrected) <= 0.02

@@ -205,6 +205,26 @@ class TestCliRuns:
         if code:
             assert "config error: " + experiment + " on goe needs phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_identity_needs_subunit_grid(self, experiment, tmp_path, capsys):
+        # s = V (s + 1) has no bounded root at V >= 1, so the scalar solve fails
+        out = tmp_path / "id.csv"
+        args = [experiment, "--phi", "identity", "--grid", "0.5:1.2:3", "--n", "50", "--seeds", "2"]
+        assert _run_cli([*args, "--out", str(out)]) == 1
+        assert f"config error: {experiment} with phi identity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--dataset-size", "0", "dataset_size"), ("--dataset-size", "-3", "dataset_size"), ("--steps", "-2", "steps")],
+    )
+    def test_train_probe_sizes_rejected(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "tp.csv"
+        args = ["train-probe", "--n", "8", "--seeds", "1", "--grid", "0.1:0.1:1", flag, value]
+        assert _run_cli([*args, "--out", str(out)]) == 1
+        assert f"config error: {message} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_probe_small(self, tmp_path):
         out = tmp_path / "tp.csv"
         code = _run_cli(

@@ -6,13 +6,13 @@ import pytest
 
 from deqlab import freeprob as fp
 from deqlab import numerics
-from deqlab.analytic_moments import CriticalScaleError, catalan, catalan_generating, length_variance_theory
+from deqlab.analytic_moments import CriticalScaleError, catalan_generating, length_variance_theory
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 
 
 def test_power_series_requires_zero_constant():
     s = fp.PowerSeries((0, 1, 2))
-    assert s.order == 2 and s.coefficient(2) == 2
+    assert s.coefficient(2) == 2
     with pytest.raises(ValueError):
         fp.PowerSeries((1, 2))
     with pytest.raises(ValueError):
@@ -27,9 +27,10 @@ class TestSemicircle:
         assert got.imag == 0.0
 
     def test_series_oracle(self):
-        # G(z) = sum_k C_k z^{-(2k+1)} for the unit-scale semicircle
+        # G(z) = sum_k C_k z^{-(2k+1)} for the unit-scale semicircle, with the
+        # Catalan number C_k = binom(2k, k) / (k + 1)
         z = 3.0
-        series = sum(catalan(k) * z ** -(2 * k + 1) for k in range(60))
+        series = sum(math.comb(2 * k, k) // (k + 1) * z ** -(2 * k + 1) for k in range(60))
         assert fp.semicircle_stieltjes(z, 1.0).real == pytest.approx(series, abs=1e-12)
 
     def test_decay_at_infinity(self):
@@ -189,30 +190,12 @@ class TestHardtanhJacobianDensity:
         dens = fp.hardtanh_jacobian_density(0.5, 1.0)
         assert dens.moment(2) == pytest.approx(0.25, abs=1e-4)
 
-    def test_transform_second_moment_consistency(self):
-        p, v = 0.5, 1.0
-        g = fp.hardtanh_jacobian_stieltjes(p, v)
-        radius = 2 * math.sqrt(v * p)
-        dens = fp.density_from_stieltjes(g, fp.recovery_grid((-radius, radius), 4001))
-        assert dens.moment(2) == pytest.approx(p * p * v, rel=2e-3)
-
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             fp.hardtanh_jacobian_density(1.5, 1.0)
 
 
 class TestDensityRecovery:
-    def test_hardtanh_atom_and_continuous_mass(self):
-        p = 0.5
-        g = fp.hardtanh_jacobian_stieltjes(p, 1.0)
-        radius = 2 * math.sqrt(p)
-        dens = fp.density_from_stieltjes(g, fp.recovery_grid((-radius, radius)))
-        assert len(dens.atoms) == 1
-        loc, mass = dens.atoms[0]
-        assert abs(loc) < 2e-3
-        assert mass == pytest.approx(1 - p, abs=5e-3)
-        assert dens.continuous_mass() == pytest.approx(p, abs=1e-2)
-
     def test_herglotz_violation_detected(self):
         bad = lambda z: 1j * np.ones_like(np.asarray(z, dtype=complex))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -99,8 +100,11 @@ class TestIterateUntied:
         se = np.std(per_seed, ddof=1) / math.sqrt(n_seeds)
         assert abs(np.mean(per_seed) - expected) < 3 * se
 
-    def test_norm_recursion_invariant(self):
-        # E[z_{t+1} . z_{t+1}] = x.x + V E[z_t . z_t] at each step
+    def test_norm_recursion_invariant(self, monkeypatch):
+        # E[z_{t+1} . z_{t+1}] = x.x + V E[z_t . z_t] at each step.  Depths
+        # 1-4 of one seed reuse its four step matrices, so the sampler is
+        # memoized: sample is pure in (spec, seed), the draws are unchanged.
+        monkeypatch.setattr(ld, "sample", functools.lru_cache(maxsize=4)(ld.sample))
         n, v, n_seeds = 500, 0.4, 120
         spec = EnsembleSpec(Family.ORTHOGONAL, n, v)
         x = _x(n, 7)
@@ -235,33 +239,3 @@ class TestConvergenceBound:
         with pytest.raises(ValueError):
             ld.check_convergence_bound(np.zeros((4, 4)), np.ones(4), t=0, v=0.5)
 
-
-class TestLinearKernels:
-    def test_zero_scale(self):
-        n = 80
-        x, xp = _x(n, 21), _x(n, 22)
-        kern = ld.linear_kernels(EnsembleSpec(Family.RANDOM, n, 0.0), x, xp, 10)
-        assert kern.ntk_theory_factor == pytest.approx(1.0)
-        assert kern.ntk_empirical == pytest.approx(1.0, rel=0.2)
-        assert kern.nngp_empirical == pytest.approx(float(x @ xp) / n)
-
-    def test_random_half_factor_four(self):
-        # overlapping input pair: the normalized kernel concentrates
-        n = 500
-        x = _x(n, 23)
-        xp = (x + _x(n, 24)) / math.sqrt(2.0)
-        kern = ld.linear_kernels(EnsembleSpec(Family.RANDOM, n, 0.5), x, xp, 80)
-        assert kern.ntk_theory_factor == pytest.approx(4.0)
-        assert kern.ntk_empirical == pytest.approx(4.0, rel=0.10)
-
-    def test_goe_eighth_factor(self):
-        n = 500
-        x = _x(n, 25)
-        kern = ld.linear_kernels(EnsembleSpec(Family.GOE, n, 0.125), x, x, 80)
-        assert kern.ntk_theory_factor == pytest.approx((4 * math.sqrt(2) - 4) ** 2)
-        assert kern.ntk_theory_factor == pytest.approx(2.7451660040609553)
-        assert kern.ntk_empirical == pytest.approx(kern.ntk_theory_factor, rel=0.10)
-
-    def test_supercritical_rejected(self):
-        with pytest.raises(ValueError):
-            ld.linear_kernels(EnsembleSpec(Family.GOE, 30, 0.3), _x(30), _x(30), 4)

@@ -5,7 +5,6 @@ import pytest
 
 from deqlab import nonlinear_deq as nl
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
-from deqlab.linear_deq import linear_kernels
 from deqlab.nonlinear_deq import HARD_TANH, IDENTITY, TANH
 
 
@@ -32,7 +31,7 @@ class TestIterateH:
         x = _x(n, 5)
         res = nl.iterate_h(w, x, HARD_TANH, tol=1e-10, t_max=2000)
         assert res.converged
-        state = nl.sigma_h_selfconsistent(sq * sq, 1.0, 0.0, HARD_TANH)
+        state = nl.sigma_h_selfconsistent(sq * sq, HARD_TANH)
         assert float(res.solution @ res.solution) / n == pytest.approx(state.sigma_h_sq, rel=0.05)
 
     def test_orthogonal_norm_identity_per_sample(self):
@@ -57,34 +56,26 @@ class TestIterateH:
 
 class TestSigmaHSelfConsistent:
     def test_identity_geometric(self):
-        state = nl.sigma_h_selfconsistent(0.5, 1.0, 0.0, IDENTITY)
+        state = nl.sigma_h_selfconsistent(0.5, IDENTITY)
         assert state.sigma_h_sq == pytest.approx(1.0, abs=1e-9)
         assert state.residual < 1e-10
 
     def test_hardtanh_small_scale_is_linear(self):
-        state = nl.sigma_h_selfconsistent(0.01, 1.0, 0.0, HARD_TANH)
+        state = nl.sigma_h_selfconsistent(0.01, HARD_TANH)
         assert state.sigma_h_sq == pytest.approx(0.01 / 0.99, rel=1e-3)
 
     def test_hardtanh_quarter(self):
         # damped-iteration + erf oracle value: 0.3193533949
-        state = nl.sigma_h_selfconsistent(0.25, 1.0, 0.0, HARD_TANH)
+        state = nl.sigma_h_selfconsistent(0.25, HARD_TANH)
         assert state.sigma_h_sq == pytest.approx(0.3193533949, abs=0.002)
         assert state.p_active == pytest.approx(math.erf(1 / math.sqrt(2 * state.sigma_h_sq)), abs=1e-6)
         assert state.sigma_h_sq == pytest.approx(
-            0.25 * (state.sigma_phi_sq + 2 * state.c_x_phi + 1.0), abs=1e-9
+            0.25 * (state.sigma_phi_sq + 1.0), abs=1e-9
         )
-
-    def test_mean_coupling_term(self):
-        state = nl.sigma_h_selfconsistent(0.2, 1.0, 0.5, TANH)
-        assert state.c_x_phi == 0.0  # odd map, centered gate variable
-        state2 = nl.sigma_h_selfconsistent(0.2, 1.0, 0.5, nl.Nonlinearity(
-            "shifted_relu_like", lambda h: np.maximum(h, -1.0), lambda h: (np.asarray(h) > -1.0).astype(float)
-        ))
-        assert state2.c_x_phi > 0.0
 
     def test_no_bounded_solution_raises_with_state(self):
         with pytest.raises(nl.SelfConsistencyError) as err:
-            nl.sigma_h_selfconsistent(1.2, 1.0, 0.0, IDENTITY)
+            nl.sigma_h_selfconsistent(1.2, IDENTITY)
         assert err.value.last_state.scale == 1.2
 
 
@@ -139,7 +130,7 @@ class TestRadiusEmpirical:
         x = _x(n, 9)
         res = nl.iterate_h(w, x, HARD_TANH, tol=1e-10, t_max=2000)
         assert res.converged
-        state = nl.sigma_h_selfconsistent(sq * sq, 1.0, 0.0, HARD_TANH)
+        state = nl.sigma_h_selfconsistent(sq * sq, HARD_TANH)
         theory = nl.radius_theory(Family.GOE, sq * sq, HARD_TANH, state.sigma_h_sq)
         emp = nl.radius_empirical(w, res.solution, HARD_TANH)
         assert emp == pytest.approx(theory, rel=0.05)
@@ -153,20 +144,20 @@ class TestRadiusEmpirical:
 
 class TestPredictCritical:
     def test_identity_families(self):
-        assert nl.predict_critical_v(Family.RANDOM, IDENTITY, 1.0) == pytest.approx(1.0, abs=2e-4)
-        assert nl.predict_critical_v(Family.ORTHOGONAL, IDENTITY, 1.0) == pytest.approx(1.0, abs=2e-4)
-        assert nl.predict_critical_v(Family.GOE, IDENTITY, 1.0) == pytest.approx(0.5, abs=2e-4)
+        assert nl.predict_critical_v(Family.RANDOM, IDENTITY) == pytest.approx(1.0, abs=2e-4)
+        assert nl.predict_critical_v(Family.ORTHOGONAL, IDENTITY) == pytest.approx(1.0, abs=2e-4)
+        assert nl.predict_critical_v(Family.GOE, IDENTITY) == pytest.approx(0.5, abs=2e-4)
 
     def test_hardtanh_values_from_bisection_oracle(self):
         # frozen from an independent erf-based bisection: 1.7215807, 0.5257253
-        got = nl.predict_critical_v(Family.RANDOM, HARD_TANH, 1.0)
+        got = nl.predict_critical_v(Family.RANDOM, HARD_TANH)
         assert got == pytest.approx(1.7215807, abs=3e-4)
-        got_goe = nl.predict_critical_v(Family.GOE, HARD_TANH, 1.0)
+        got_goe = nl.predict_critical_v(Family.GOE, HARD_TANH)
         assert got_goe == pytest.approx(0.5257253, abs=3e-4)
 
     def test_bad_bracket_reported(self):
         with pytest.raises(ValueError, match="bracket"):
-            nl.predict_critical_v(Family.RANDOM, HARD_TANH, 1.0, bracket=(0.01, 0.02))
+            nl.predict_critical_v(Family.RANDOM, HARD_TANH, bracket=(0.01, 0.02))
 
 
 class TestResidualSweep:
@@ -196,7 +187,7 @@ class TestResidualSweep:
         n, n_seeds = 1000, 20
         for family in (Family.RANDOM, Family.ORTHOGONAL):
             for sq, stable in ((1.3, True), (2.05, False)):
-                state = nl.sigma_h_selfconsistent(sq * sq, 1.0, 0.0, HARD_TANH)
+                state = nl.sigma_h_selfconsistent(sq * sq, HARD_TANH)
                 r = nl.radius_theory(family, sq * sq, HARD_TANH, state.sigma_h_sq)
                 assert (r < 0.95) if stable else (r > 1.05)
                 cells = nl.residual_sweep([family], [sq], n=n, n_seeds=n_seeds, t_probe=500)
@@ -236,32 +227,3 @@ class TestResidualSweep:
             else:
                 assert value == pytest.approx(expected, rel=1e-9)
 
-
-class TestNonlinearKernel:
-    def test_identity_reduces_to_linear_kernel(self):
-        n, v = 200, 0.3
-        x = _x(n, 11)
-        xp = (x + _x(n, 12)) / math.sqrt(2.0)
-        spec = EnsembleSpec(Family.RANDOM, n, v)
-        nonlin = nl.ntk_nonlinear_empirical(spec, x, xp, IDENTITY, 60)
-        linear = linear_kernels(spec, x, xp, 60)
-        xxp = float(x @ xp)
-        assert nonlin.mean / xxp == pytest.approx(linear.ntk_theory_factor, rel=0.10)
-        assert nonlin.mean / xxp == pytest.approx(linear.ntk_empirical, rel=0.10)
-
-    def test_small_scale_limit(self):
-        n = 150
-        x = _x(n, 13)
-        xp = (x + _x(n, 14)) / math.sqrt(2.0)
-        spec = EnsembleSpec(Family.RANDOM, n, 1e-4)
-        est = nl.ntk_nonlinear_empirical(spec, x, xp, HARD_TANH, 20)
-        assert est.mean == pytest.approx(float(x @ xp), rel=0.02)
-
-    def test_random_and_goe_kernels_differ(self):
-        n, v = 500, 0.2
-        x = _x(n, 15)
-        xp = (x + _x(n, 16)) / math.sqrt(2.0)
-        rand = nl.ntk_nonlinear_empirical(EnsembleSpec(Family.RANDOM, n, v), x, xp, HARD_TANH, 100)
-        goe = nl.ntk_nonlinear_empirical(EnsembleSpec(Family.GOE, n, v), x, xp, HARD_TANH, 100)
-        gap = abs(rand.mean - goe.mean)
-        assert gap > 3 * (rand.stderr + goe.stderr)

@@ -213,10 +213,6 @@ class TestGaussHermiteExpect:
         with pytest.raises(ValueError):
             numerics.gauss_hermite_expect(lambda h: h, 0.0, -1.0)
 
-    def test_node_floor_enforced(self):
-        with pytest.raises(ValueError):
-            numerics.gauss_hermite_expect(lambda h: h, 0.0, 1.0, n_nodes=32)
-
 
 class TestSpectralDensity:
     def test_normalization_enforced(self):
@@ -242,7 +238,4 @@ class TestSpectralDensity:
         )
         assert sd.atom_mass() == pytest.approx(0.4)
         assert sd.continuous_mass() == pytest.approx(0.6)
-        assert sd.cdf(np.array([-1.0]))[0] == 0.0
-        assert sd.cdf(np.array([0.5]))[0] == pytest.approx(0.4)
-        assert sd.cdf(np.array([2.5]))[0] == pytest.approx(1.0)
         assert sd.moment(1) == pytest.approx(0.6 * 1.5)

@@ -94,10 +94,10 @@ class TestDeqVjp:
 class TestProbeTask:
     def test_dataset_deterministic_and_split(self):
         task = tp.ProbeTask(teacher_seed=3, n_samples=20, dim=6)
-        xs1, ys1, xv1, yv1 = task.dataset()
-        xs2, ys2, _, _ = task.dataset()
+        xs1, ys1 = task.dataset()
+        xs2, ys2 = task.dataset()
         assert np.array_equal(xs1, xs2) and np.array_equal(ys1, ys2)
-        assert xs1.shape == (16, 6) and xv1.shape == (4, 6)
+        assert xs1.shape == (16, 6) and ys1.shape == (16,)
 
 
 class TestTrainSweep:
@@ -120,7 +120,7 @@ class TestTrainSweep:
     def test_loss_decreases_in_subcritical_regime(self):
         # ten plain descent steps through the implicit gradient
         task = tp.ProbeTask(teacher_seed=2, n_samples=12, dim=20)
-        xs, ys, _, _ = task.dataset()
+        xs, ys = task.dataset()
         for sq in (0.1, 0.2):
             spec = EnsembleSpec(Family.RANDOM, 20, sq * sq)
             seed = seed_for(10, Family.RANDOM, 0, 0)
