@@ -9,9 +9,6 @@ __version__ = "0.1.0"
 
 from .analytic_moments import (
     CriticalScaleError,
-    MomentQuery,
-    MomentReport,
-    Quantity,
     WeightMode,
     critical_scale,
     length_variance_theory,
@@ -24,9 +21,6 @@ __all__ = [
     "CriticalScaleError",
     "EnsembleSpec",
     "Family",
-    "MomentQuery",
-    "MomentReport",
-    "Quantity",
     "SeedDerivation",
     "SingularMatrixError",
     "SpectralDensity",

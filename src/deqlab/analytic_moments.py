@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import scipy.integrate
@@ -29,12 +28,6 @@ from .ensembles import Family
 class WeightMode(str, Enum):
     TIED = "tied"
     UNTIED = "untied"
-
-
-class Quantity(str, Enum):
-    VARIANCE_FACTOR = "variance_factor"
-    LENGTH_VARIANCE_T = "length_variance_T"
-    GRAM_TRACE_FACTOR = "gram_trace_factor"
 
 
 class CriticalScaleError(ValueError):
@@ -61,44 +54,13 @@ def delta_to_scale(family: Family, weight_mode: WeightMode, delta: float) -> flo
     return critical_scale(family, weight_mode) * (1.0 - delta)
 
 
-def _check_subcritical(family: Family, weight_mode: WeightMode, v: float) -> None:
+def check_subcritical(family: Family, weight_mode: WeightMode, v: float) -> None:
+    """ValueError for a negative or non-finite V, CriticalScaleError at or beyond V_c."""
     if v < 0 or not math.isfinite(v):
         raise ValueError(f"scale must be finite and >= 0, got {v}")
     vc = critical_scale(family, weight_mode)
     if v >= vc:
         raise CriticalScaleError(v, vc)
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    family: Family
-    weight_mode: WeightMode
-    scale: float
-    quantity: Quantity
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
-        object.__setattr__(self, "quantity", Quantity(self.quantity))
-        _check_subcritical(self.family, self.weight_mode, self.scale)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """A theory value, optionally paired with a Monte-Carlo run."""
-
-    theory_value: float
-    mc_mean: float | None = None
-    mc_stderr: float | None = None
-    mc_median: float | None = None
-    mc_q25: float | None = None
-    mc_q75: float | None = None
-    n_seeds: int = 0
-    n_diverged: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_diverged > self.n_seeds:
-            raise ValueError("diverged count cannot exceed seed count")
 
 
 def catalan_generating(x: float) -> float:
@@ -156,7 +118,7 @@ def variance_factor_theory(family: Family, weight_mode: WeightMode, v: float) ->
     function; the explicit partial sums are cross-checked internally.
     """
     family, weight_mode = Family(family), WeightMode(weight_mode)
-    _check_subcritical(family, weight_mode, v)
+    check_subcritical(family, weight_mode, v)
     if v == 0.0:
         return 0.0
     if weight_mode is WeightMode.UNTIED or family is not Family.GOE:
@@ -177,7 +139,7 @@ def length_variance_theory(family: Family, weight_mode: WeightMode, v: float) ->
     products.  T(0) = 1 for every family and mode.
     """
     family, weight_mode = Family(family), WeightMode(weight_mode)
-    _check_subcritical(family, weight_mode, v)
+    check_subcritical(family, weight_mode, v)
     if v == 0.0:
         return 1.0
     if weight_mode is WeightMode.UNTIED:
@@ -237,13 +199,3 @@ def divergence_exponent(family: Family, weight_mode: WeightMode) -> float:
     if weight_mode is WeightMode.UNTIED:
         return -2.0
     return {Family.ORTHOGONAL: -3.0, Family.RANDOM: -4.0, Family.GOE: -2.5}[family]
-
-
-def theory_value(query: MomentQuery) -> float:
-    """Dispatch a MomentQuery to its closed form."""
-    fn = {
-        Quantity.VARIANCE_FACTOR: variance_factor_theory,
-        Quantity.LENGTH_VARIANCE_T: length_variance_theory,
-        Quantity.GRAM_TRACE_FACTOR: gram_trace_factor_theory,
-    }[query.quantity]
-    return fn(query.family, query.weight_mode, query.scale)

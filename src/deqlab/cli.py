@@ -143,6 +143,13 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         bad = [g for g in config.grid if not 0.0 < g <= 1.0]
         if bad:
             errors.append(f"{config.experiment} grid values are deltas in (0, 1]; got {bad}")
+    if config.experiment in ("fig2", "fig3", "fig4", "train-probe") and config.grid is not None:
+        bad = [g for g in config.grid if g < 0.0]
+        if bad:
+            errors.append(f"{config.experiment} grid values are sqrt(V) >= 0; got {bad}")
+    reads_estimator = config.experiment == "fig1" or (config.experiment == "moments" and config.weight_mode != "untied")
+    if config.estimator == "hutchinson" and not reads_estimator:
+        errors.append("estimator hutchinson applies only to tied length-variance cells (fig1, moments tied or both)")
     if config.experiment in ("fig3", "fig4") and Family.GOE in config.families and config.phi not in ZERO_ONE_GATES:
         errors.append(f"{config.experiment} on goe needs phi {' or '.join(ZERO_ONE_GATES)} (a 0/1 gate), got {config.phi!r}")
     if config.experiment in ("fig2", "fig3") and config.phi == "identity" and config.grid is not None:

@@ -16,20 +16,15 @@ import numpy as np
 
 from . import freeprob, numerics
 from .analytic_moments import (
-    MomentQuery,
-    MomentReport,
-    Quantity,
     WeightMode,
     catalan_generating,
     delta_to_scale,
-    theory_value,
+    gram_trace_factor_theory,
+    length_variance_theory,
+    variance_factor_theory,
 )
 from .ensembles import EnsembleSpec, Family, sample, seed_for
-from .linear_deq import (
-    LinearDeqProblem,
-    estimate_length_variance,
-    estimate_moments,
-)
+from .linear_deq import estimate_length_variance, estimate_moments
 from .nonlinear_deq import (
     NONLINEARITIES,
     SIGMA_X_SQ,
@@ -174,22 +169,15 @@ def run_sweep(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
     return list(parallel_map(lambda c: cell(config, *c), cells))
 
 
-def _mc_columns(report: MomentReport) -> dict:
-    return dict(
-        seeds=report.n_seeds,
-        emp_mean=report.mc_mean,
-        emp_median=report.mc_median,
-        emp_stderr=report.mc_stderr,
-        emp_q25=report.mc_q25,
-        emp_q75=report.mc_q75,
-        diverged=report.n_diverged,
-    )
+def _emp_columns(values) -> dict:
+    """The ``emp_*`` columns of a cell's per-seed values."""
+    return {f"emp_{name}": value for name, value in asdict(numerics.summarize(values)).items()}
 
 
 def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delta: float) -> ResultRow:
     """fig1: tied length variance against the closed form."""
     v = delta_to_scale(family, WeightMode.TIED, delta)
-    report = estimate_length_variance(
+    values, n_diverged = estimate_length_variance(
         EnsembleSpec(family, config.n, v),
         WeightMode.TIED,
         config.seeds,
@@ -205,8 +193,10 @@ def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delt
         v=v,
         delta=delta,
         n=config.n,
-        theory=report.theory_value,
-        **_mc_columns(report),
+        seeds=config.seeds,
+        theory=length_variance_theory(family, WeightMode.TIED, v),
+        diverged=n_diverged,
+        **_emp_columns(values),
     )
 
 
@@ -235,7 +225,6 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
             n_diverged += 1
         h = fp.solution
         values.append(float(h @ h) / config.n if config.experiment == "fig2" else radius_empirical(w, h, phi))
-    stats = numerics.summarize(values)
     return ResultRow(
         experiment=config.experiment,
         statistic=statistic,
@@ -245,12 +234,8 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
         n=config.n,
         seeds=config.seeds,
         theory=theory,
-        emp_mean=stats.mean,
-        emp_median=stats.median,
-        emp_stderr=stats.stderr,
-        emp_q25=stats.q25,
-        emp_q75=stats.q75,
         diverged=n_diverged,
+        **_emp_columns(values),
     )
 
 
@@ -260,30 +245,31 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
 
 
 def run_fig4(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
-    """Default grid: 0.8x to 1.3x each family's predicted critical sqrt(V)."""
+    """Default grid: 0.8x to 1.3x each family's predicted critical sqrt(V).
+
+    ``diverged`` counts the replicates whose probe residual exceeds 1e-3.
+    The residuals are clipped, so ``emp_stderr`` stays empty.
+    """
     phi = NONLINEARITIES[config.phi]
 
     def one_family(family: Family) -> list[ResultRow]:
         predicted = predict_critical_v(family, phi)
-        grid = config.grid or [predicted * m for m in np.linspace(0.8, 1.3, 11)]
-        cells = residual_sweep([family], grid, config.n, config.seeds, phi=phi, base_seed=config.seed)
+        grid = [float(g) for g in config.grid or [predicted * m for m in np.linspace(0.8, 1.3, 11)]]
+        residuals = residual_sweep(family, grid, config.n, config.seeds, phi=phi, base_seed=config.seed)
         return [
             ResultRow(
                 experiment="fig4",
                 statistic="residual_at_probe",
-                family=cell.family.value,
-                v=cell.sqrt_scale**2,
-                sqrt_v=cell.sqrt_scale,
+                family=family.value,
+                v=sqrt_v**2,
+                sqrt_v=sqrt_v,
                 n=config.n,
-                seeds=cell.n_seeds,
+                seeds=config.seeds,
                 theory=predicted,
-                emp_mean=cell.residual_mean,
-                emp_median=cell.residual_median,
-                emp_q25=cell.residual_q25,
-                emp_q75=cell.residual_q75,
-                diverged=int(round(cell.frac_above_1e3 * cell.n_seeds)),
+                diverged=int(np.sum(row > 1e-3)),
+                **(_emp_columns(row) | {"emp_stderr": None}),
             )
-            for cell in cells
+            for sqrt_v, row in zip(grid, residuals)
         ]
 
     return [row for rows in parallel_map(one_family, config.families) for row in rows]
@@ -292,6 +278,13 @@ def run_fig4(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 # moments: closed forms with optional Monte-Carlo attachment
 # ---------------------------------------------------------------------------
+
+# (statistic, closed form) in row order; the first two get Monte-Carlo columns
+MOMENT_THEORIES = (
+    ("variance_factor", variance_factor_theory),
+    ("length_variance_T", length_variance_theory),
+    ("gram_trace_factor", gram_trace_factor_theory),
+)
 
 
 def run_moments(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
@@ -310,27 +303,16 @@ def run_moments(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
     def one(cell) -> list[ResultRow]:
         family, mode, gi, delta = cell
         v = delta_to_scale(family, mode, delta)
-        out = []
-        for quantity in Quantity:
-            query = MomentQuery(family, mode, v, quantity)
-            row = ResultRow(
-                experiment="moments",
-                statistic=quantity.value,
-                family=family.value,
-                weight_mode=mode.value,
-                v=v,
-                delta=delta,
-                n=config.n,
-                theory=theory_value(query),
-            )
-            out.append(row)
+        common = dict(experiment="moments", family=family.value, weight_mode=mode.value, v=v, delta=delta, n=config.n)
+        out = [ResultRow(statistic=name, theory=theory(family, mode, v), **common) for name, theory in MOMENT_THEORIES]
         if config.seeds > 0:
             spec = EnsembleSpec(family, config.n, v)
-            problem = LinearDeqProblem(spec, np.ones(config.n), mode)
-            vf = estimate_moments(problem, config.seeds, config.seed, grid_label=gi)
-            lv = estimate_length_variance(spec, mode, config.seeds, config.estimator, config.seed, grid_label=gi)
-            for i, report in ((0, vf), (1, lv)):
-                out[i] = replace(out[i], **_mc_columns(report))
+            samples = (
+                estimate_moments(spec, mode, config.seeds, config.seed, grid_label=gi),
+                estimate_length_variance(spec, mode, config.seeds, config.estimator, config.seed, grid_label=gi),
+            )
+            for i, (values, n_diverged) in enumerate(samples):
+                out[i] = replace(out[i], seeds=config.seeds, diverged=n_diverged, **_emp_columns(values))
         return out
 
     return [row for rows in parallel_map(one, cells) for row in rows]
@@ -355,8 +337,7 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
         )
 
     # semicircle density peak via boundary-value recovery
-    g = freeprob.StieltjesFn(lambda z: freeprob.semicircle_stieltjes(z, 1.0), (-2.0, 2.0))
-    dens = freeprob.density_from_stieltjes(g, freeprob.recovery_grid((-2.0, 2.0)))
+    dens = freeprob.density_from_stieltjes(freeprob.semicircle_stieltjes, freeprob.recovery_grid((-2.0, 2.0)))
     rows.append(row("semicircle_peak_density", 1.0 / math.pi, float(dens.density.max())))
 
     # GOE resolvent moment series against the Catalan generating function
@@ -399,7 +380,9 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
     zero = np.abs(eigs) < 1e-10
     atom_mass = float(np.mean(zero))
     radius = 2.0 * math.sqrt(v_j * p)
-    ks = freeprob.kolmogorov_distance(eigs[~zero], lambda x: freeprob.semicircle_cdf(x, radius))
+    continuous = eigs[~zero]
+    # with every gate closed no eigenvalue is left to compare: the cell stays empty
+    ks = freeprob.kolmogorov_distance(continuous, lambda x: freeprob.semicircle_cdf(x, radius)) if continuous.size else None
     rows.append(row("hardtanh_atom_mass", 1.0 - p, atom_mass, v=v_j, n=n))
     rows.append(row("hardtanh_continuous_ks", 0.0, ks, v=v_j, n=n))
     rows.append(row("hardtanh_second_moment", p * p * v_j, target.moment(2), v=v_j))
@@ -427,16 +410,14 @@ def run_train_probe(config: ExperimentConfig, parallel_map=map) -> list[ResultRo
         n_samples=config.dataset_size,
         dim=min(config.n, 64),
     )
-    records = train_stability_sweep(
-        task,
-        config.families,
-        grid,
-        config.seeds,
-        lr=config.lr,
-        steps=config.steps,
-        phi=NONLINEARITIES[config.phi],
-        base_seed=config.seed,
-    )
+    phi = NONLINEARITIES[config.phi]
+
+    def one_family(family: Family) -> list:
+        return train_stability_sweep(
+            task, [family], grid, config.seeds, lr=config.lr, steps=config.steps, phi=phi, base_seed=config.seed
+        )
+
+    records = [rec for recs in parallel_map(one_family, config.families) for rec in recs]
     rows: list[ResultRow] = []
     for cell in summarize_sweep(records):
         common = dict(

@@ -51,17 +51,6 @@ class PowerSeries:
         return acc
 
 
-@dataclass(frozen=True)
-class StieltjesFn:
-    """A Stieltjes transform: callable off the real axis, documented branch."""
-
-    fn: object
-    support: tuple[float, float]
-
-    def __call__(self, z):
-        return self.fn(z)
-
-
 def _sqrt_two_cuts(z, a: float, b: float):
     """Principal-branch ``sqrt(z - a) * sqrt(z - b)``; cut on [a, b], ~ z at infinity."""
     z = np.asarray(z, dtype=complex)
@@ -145,15 +134,14 @@ def goe_resolvent_mgf_value(z, v: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def goe_resolvent_stieltjes(v: float) -> StieltjesFn:
+def goe_resolvent_stieltjes(v: float):
     """``G(z) = (M(z) + 1) / z`` for the spectrum of ``(I - W)^{-1}``."""
-    support = goe_resolvent_support(v)
 
     def g(z):
         z = np.asarray(z, dtype=complex)
         return (goe_resolvent_mgf_value(z, v) + 1.0) / z
 
-    return StieltjesFn(g, support)
+    return g
 
 
 def goe_resolvent_mgf(v: float, k_max: int = 8) -> PowerSeries:
@@ -273,7 +261,8 @@ def hardtanh_jacobian_density(p: float, v: float) -> SpectralDensity:
 
 
 def density_from_stieltjes(g, grid: np.ndarray) -> SpectralDensity:
-    """Recover a spectral density from boundary values ``-Im G(x + i eps)/pi``.
+    """Recover a spectral density from the boundary values ``-Im G(x + i eps)/pi``
+    of any callable transform G.
 
     Evaluates at eps = 1e-3 and 2 eps and extrapolates linearly to the axis.
     Raises on Herglotz violations.  The transform must have no atoms (their

@@ -17,22 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .analytic_moments import MomentReport, WeightMode, length_variance_theory, variance_factor_theory
+from .analytic_moments import WeightMode, check_subcritical
 from .ensembles import EnsembleSpec, SeedDerivation, sample, seed_for
-
-
-@dataclass(frozen=True)
-class LinearDeqProblem:
-    spec: EnsembleSpec
-    x: np.ndarray
-    weight_mode: WeightMode = WeightMode.TIED
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("input vector contains non-finite entries")
 
 
 def solve_closed_form(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -93,37 +79,25 @@ def untied_truncation_depth(v: float) -> int:
     return max(1, math.ceil(math.log(1e-6) / math.log(v)))
 
 
-def _stats_report(theory: float, values: list[float], n_seeds: int, n_diverged: int) -> MomentReport:
-    s = numerics.summarize(values)
-    return MomentReport(
-        theory_value=theory,
-        mc_mean=s.mean,
-        mc_stderr=s.stderr,
-        mc_median=s.median,
-        mc_q25=s.q25,
-        mc_q75=s.q75,
-        n_seeds=n_seeds,
-        n_diverged=n_diverged,
-    )
-
-
 def estimate_moments(
-    problem: LinearDeqProblem, n_seeds: int, base_seed: int = 0, grid_label: int = 0
-) -> MomentReport:
-    """Monte-Carlo variance factor ``N Var[z*_i] / (x.x)`` over matrix seeds.
+    spec: EnsembleSpec, mode: WeightMode, n_seeds: int, base_seed: int = 0, grid_label: int = 0
+) -> tuple[list[float], int]:
+    """Monte-Carlo variance factor ``N Var[z*_i] / (x.x)`` over matrix seeds,
+    for the all-ones input x; returns the per-seed values and the count of
+    diverged seeds.
 
     Uses the identity ``N Var[z*_i] = E[z*.z*] - x.x`` (mean is x), so each
     seed contributes the self-averaging statistic ``(z*.z* - x.x)/(x.x)``.
     Untied mode propagates to the truncation depth instead of solving.
-    Singular or overflowing seeds are excluded and counted.
+    Singular or overflowing seeds are excluded and counted.  A scale at or
+    beyond the critical one raises CriticalScaleError before any draw.
     """
     if n_seeds < 2:
         raise ValueError("need at least 2 seeds")
-    spec, x, mode = problem.spec, problem.x, problem.weight_mode
-    theory = variance_factor_theory(spec.family, mode, spec.scale)
+    mode = WeightMode(mode)
+    check_subcritical(spec.family, mode, spec.scale)
+    x = np.ones(spec.dim)
     xx = float(x @ x)
-    if xx == 0.0:
-        raise ValueError("input vector must be nonzero")
     t_stop = untied_truncation_depth(spec.scale) if mode is WeightMode.UNTIED else 0
     values: list[float] = []
     n_diverged = 0
@@ -141,7 +115,7 @@ def estimate_moments(
             n_diverged += 1
     if not values:
         raise numerics.SingularMatrixError("all seeds diverged")
-    return _stats_report(theory, values, n_seeds, n_diverged)
+    return values, n_diverged
 
 
 def estimate_length_variance(
@@ -152,19 +126,21 @@ def estimate_length_variance(
     base_seed: int = 0,
     grid_label: int = 0,
     n_probes: int = 32,
-) -> MomentReport:
-    """Monte-Carlo fourth-moment factor ``tr[(M^T M)^2] / N`` over seeds.
+) -> tuple[list[float], int]:
+    """Monte-Carlo fourth-moment factor ``tr[(M^T M)^2] / N`` over seeds;
+    returns the per-seed values and the count of singular seeds.
 
     Tied: M = (I - W)^{-1}, per-seed trace exact or Hutchinson.  Untied: the
     summed product truncated where the scale bias drops below 1e-6, then the
-    exact normalized trace.  The median and quartiles are reported alongside
-    the mean because single-seed values are heavy-tailed near threshold for
-    the non-orthogonal families.
+    exact normalized trace.  Single-seed values are heavy-tailed near
+    threshold for the non-orthogonal families, so callers report the median
+    and quartiles alongside the mean.  A scale at or beyond the critical one
+    raises CriticalScaleError before any draw.
     """
     weight_mode = WeightMode(weight_mode)
     if estimator_mode not in ("exact", "hutchinson"):
         raise ValueError(f"unknown estimator mode {estimator_mode!r}")
-    theory = length_variance_theory(spec.family, weight_mode, spec.scale)
+    check_subcritical(spec.family, weight_mode, spec.scale)
     values: list[float] = []
     n_diverged = 0
     t_stop = untied_truncation_depth(spec.scale) if weight_mode is WeightMode.UNTIED else 0
@@ -188,7 +164,7 @@ def estimate_length_variance(
             n_diverged += 1
     if not values:
         raise numerics.SingularMatrixError("all seeds diverged")
-    return _stats_report(theory, values, n_seeds, n_diverged)
+    return values, n_diverged
 
 
 @dataclass(frozen=True)

@@ -249,30 +249,17 @@ def predict_critical_v(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ResidualCell:
-    """One (family, sqrt-scale) cell of the long-iteration residual sweep."""
-
-    family: Family
-    sqrt_scale: float
-    residual_median: float
-    residual_mean: float
-    residual_q25: float
-    residual_q75: float
-    frac_above_1e3: float
-    n_seeds: int
-
-
 def residual_sweep(
-    families,
+    family: Family,
     sqrt_v_grid,
     n: int,
     n_seeds: int,
     t_probe: int = 500,
     phi: Nonlinearity = HARD_TANH,
     base_seed: int = 0,
-) -> list[ResidualCell]:
-    """Step-norm residual after t_probe iterations, per (family, sqrt V).
+) -> np.ndarray:
+    """Step-norm residual after t_probe iterations, one row per sqrt(V) of
+    the grid and one column per replicate.
 
     Inputs have i.i.d. N(0, SIGMA_X_SQ) coordinates.  Each replicate draws one
     unit-scale base matrix and rescales it across the grid (the sweep probes
@@ -280,32 +267,15 @@ def residual_sweep(
     point's marginal law is exact.  Residuals are clipped at 1e6; iteration
     stops early once the residual falls to 1e-12.
     """
-    sqrt_v_grid = [float(s) for s in sqrt_v_grid]
-    results: list[ResidualCell] = []
-    for family in families:
-        family = Family(family)
-        unit = EnsembleSpec(family, n, 1.0)
-        residuals = np.empty((len(sqrt_v_grid), n_seeds))
-        for rep in range(n_seeds):
-            seed = seed_for(base_seed, family, 7, rep)
-            w_unit = sample(unit, seed)
-            x = seed.child(1).generator().standard_normal(n) * math.sqrt(SIGMA_X_SQ)
-            residuals[:, rep] = _probe_residuals(w_unit, x, sqrt_v_grid, phi, t_probe)
-        for sq, row in zip(sqrt_v_grid, residuals):
-            s = numerics.summarize(row)
-            results.append(
-                ResidualCell(
-                    family=family,
-                    sqrt_scale=sq,
-                    residual_median=s.median,
-                    residual_mean=s.mean,
-                    residual_q25=s.q25,
-                    residual_q75=s.q75,
-                    frac_above_1e3=float(np.mean(row > 1e-3)),
-                    n_seeds=n_seeds,
-                )
-            )
-    return results
+    family = Family(family)
+    unit = EnsembleSpec(family, n, 1.0)
+    residuals = np.empty((len(sqrt_v_grid), n_seeds))
+    for rep in range(n_seeds):
+        seed = seed_for(base_seed, family, 7, rep)
+        w_unit = sample(unit, seed)
+        x = seed.child(1).generator().standard_normal(n) * math.sqrt(SIGMA_X_SQ)
+        residuals[:, rep] = _probe_residuals(w_unit, x, sqrt_v_grid, phi, t_probe)
+    return residuals
 
 
 def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe):

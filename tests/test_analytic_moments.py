@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deqlab import analytic_moments as am
-from deqlab.analytic_moments import Quantity, WeightMode
+from deqlab.analytic_moments import WeightMode
 from deqlab.ensembles import Family
 
 TIED, UNTIED = WeightMode.TIED, WeightMode.UNTIED
@@ -174,14 +174,7 @@ def test_divergence_exponents_from_log_slopes():
 
 
 def test_moment_query_validation_and_dispatch():
-    q = am.MomentQuery(Family.RANDOM, TIED, 0.5, Quantity.LENGTH_VARIANCE_T)
-    assert am.theory_value(q) == pytest.approx(16.0)
-    q2 = am.MomentQuery("goe", "tied", 0.125, "gram_trace_factor")
-    assert am.theory_value(q2) == pytest.approx(4 * math.sqrt(2) - 4)
+    assert am.length_variance_theory(Family.RANDOM, TIED, 0.5) == pytest.approx(16.0)
+    assert am.gram_trace_factor_theory("goe", "tied", 0.125) == pytest.approx(4 * math.sqrt(2) - 4)
     with pytest.raises(am.CriticalScaleError):
-        am.MomentQuery(Family.GOE, TIED, 0.25, Quantity.VARIANCE_FACTOR)
-
-
-def test_moment_report_validation():
-    with pytest.raises(ValueError):
-        am.MomentReport(theory_value=1.0, n_seeds=3, n_diverged=4)
+        am.variance_factor_theory(Family.GOE, TIED, 0.25)

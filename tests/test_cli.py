@@ -88,12 +88,13 @@ SAMPLE_VALUES = {
 class TestFlagsMatchConfigKeys:
     def test_every_key_has_a_flag_that_sets_the_same_value(self, tmp_path):
         assert set(cli.SETTINGS) == {"experiment", *SAMPLE_VALUES}
-        default = validate_config(None, {"experiment": "fig2"})
+        # fig1, as the one experiment that reads --estimator hutchinson at any weight mode
+        default = validate_config(None, {"experiment": "fig1"})
         for key, text in SAMPLE_VALUES.items():
             path = tmp_path / f"{key}.cfg"
-            path.write_text(f"experiment=fig2\n{key}={text}\n", encoding="utf-8")
+            path.write_text(f"experiment=fig1\n{key}={text}\n", encoding="utf-8")
             from_file = validate_config(str(path))
-            flags = vars(cli.build_parser().parse_args(["fig2", "--" + key.replace("_", "-"), text]))
+            flags = vars(cli.build_parser().parse_args(["fig1", "--" + key.replace("_", "-"), text]))
             from_flag = validate_config(flags.pop("config"), flags)
             assert getattr(from_flag, key) == getattr(from_file, key) != getattr(default, key), key
 
@@ -225,6 +226,24 @@ class TestCliRuns:
         assert f"config error: {message} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "fig4", "train-probe"])
+    def test_negative_sqrt_v_grid_rejected(self, experiment, tmp_path, capsys):
+        out = tmp_path / "neg.csv"
+        args = [experiment, "--grid=-0.5:-0.5:1", "--n", "8", "--seeds", "1", "--families", "random"]
+        assert _run_cli([*args, "--out", str(out)]) == 1
+        assert f"config error: {experiment} grid values are sqrt(V) >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["fig2"], ["fig4"], ["train-probe"], ["freeprob-check"], ["moments", "--weight-mode", "untied", "--seeds", "2"]],
+    )
+    def test_unread_hutchinson_estimator_rejected(self, args, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert _run_cli([*args, "--estimator", "hutchinson", "--n", "8", "--out", str(out)]) == 1
+        assert "config error: estimator hutchinson applies only to" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_probe_small(self, tmp_path):
         out = tmp_path / "tp.csv"
         code = _run_cli(
@@ -247,6 +266,14 @@ class TestCliRuns:
         assert float(peak["emp_mean"]) == pytest.approx(1 / math.pi, abs=1e-3)
         ks = float(by_stat["hardtanh_continuous_ks"]["emp_mean"])
         assert ks < 0.1
+
+    def test_freeprob_check_without_open_gates(self, tmp_path):
+        # at n = 2 and seed 0 both hard-tanh gates are closed: no continuous spectrum is left
+        out = tmp_path / "fp.csv"
+        assert _run_cli(["freeprob-check", "--n", "2", "--seeds", "1", "--out", str(out)]) == 0
+        by_stat = {r["statistic"]: r for r in _rows(out)}
+        assert by_stat["hardtanh_atom_mass"]["emp_mean"] == "1.0"
+        assert by_stat["hardtanh_continuous_ks"]["emp_mean"] == ""
 
     def test_fig1_small_run(self, tmp_path):
         out = tmp_path / "fig1.csv"

@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` were written by the command-line runs in
 ``RUNS``.  Text and integer cells must match exactly; float cells to 1e-12
 relative, so that a different BLAS build does not fail the check.  Every
-grid settles or clips; none sits in a chaotic supercritical cell.
+grid settles or clips; none sits in a chaotic supercritical cell.  Each run
+must also write the same bytes at ``--threads 3`` as at one thread.
 """
 
 import csv
@@ -61,3 +62,13 @@ def test_matches_golden_csv(name, tmp_path):
         assert len(got_row) == len(want_row)
         for column, g, w in zip(want[0], got_row, want_row):
             assert _same_cell(g, w), f"line {line}, {column}: {g!r} != golden {w!r}"
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_csv_independent_of_threads(name, tmp_path):
+    outputs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"{name}-{threads}.csv"
+        assert cli.main([*RUNS[name], "--threads", threads, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

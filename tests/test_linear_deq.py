@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from deqlab import linear_deq as ld
-from deqlab.analytic_moments import WeightMode
+from deqlab.analytic_moments import CriticalScaleError, WeightMode, length_variance_theory, variance_factor_theory
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
-from deqlab.numerics import SingularMatrixError
+from deqlab.numerics import SingularMatrixError, summarize
 
 TIED, UNTIED = WeightMode.TIED, WeightMode.UNTIED
 
@@ -125,26 +125,28 @@ class TestIterateUntied:
 class TestEstimateMoments:
     def test_zero_scale(self):
         spec = EnsembleSpec(Family.RANDOM, 50, 0.0)
-        report = ld.estimate_moments(ld.LinearDeqProblem(spec, np.ones(50)), 4)
-        assert report.mc_mean == 0.0 and report.theory_value == 0.0
+        values, _ = ld.estimate_moments(spec, TIED, 4)
+        assert summarize(values).mean == 0.0 and variance_factor_theory(spec.family, TIED, spec.scale) == 0.0
 
     def test_random_tied_half(self):
         spec = EnsembleSpec(Family.RANDOM, 600, 0.5)
-        report = ld.estimate_moments(ld.LinearDeqProblem(spec, np.ones(600)), 50)
-        assert report.theory_value == pytest.approx(1.0)
-        assert abs(report.mc_mean - 1.0) < 3 * report.mc_stderr
+        stats = summarize(ld.estimate_moments(spec, TIED, 50)[0])
+        assert variance_factor_theory(spec.family, TIED, spec.scale) == pytest.approx(1.0)
+        assert abs(stats.mean - 1.0) < 3 * stats.stderr
 
     def test_goe_tied_eighth_matches_catalan_series(self):
         spec = EnsembleSpec(Family.GOE, 600, 0.125)
-        report = ld.estimate_moments(ld.LinearDeqProblem(spec, np.ones(600)), 40)
-        assert report.theory_value == pytest.approx(4 * math.sqrt(2) - 5)
-        assert abs(report.mc_mean - report.theory_value) < 3 * report.mc_stderr
+        stats = summarize(ld.estimate_moments(spec, TIED, 40)[0])
+        theory = variance_factor_theory(spec.family, TIED, spec.scale)
+        assert theory == pytest.approx(4 * math.sqrt(2) - 5)
+        assert abs(stats.mean - theory) < 3 * stats.stderr
 
     def test_untied_matches_tied_for_random(self):
         spec = EnsembleSpec(Family.RANDOM, 400, 0.4)
-        report = ld.estimate_moments(ld.LinearDeqProblem(spec, np.ones(400), UNTIED), 40)
-        assert report.theory_value == pytest.approx(0.4 / 0.6)
-        assert abs(report.mc_mean - report.theory_value) < 4 * report.mc_stderr
+        stats = summarize(ld.estimate_moments(spec, UNTIED, 40)[0])
+        theory = variance_factor_theory(spec.family, UNTIED, spec.scale)
+        assert theory == pytest.approx(0.4 / 0.6)
+        assert abs(stats.mean - theory) < 4 * stats.stderr
 
     def test_mean_projections_match_resolvent_trace(self):
         # E[z*] = gamma x with gamma the mean normalized resolvent trace:
@@ -175,29 +177,38 @@ class TestEstimateMoments:
                 assert abs(np.mean(vals)) < 4 * se + 10.0 / n * (x @ x) * v
 
 
+@pytest.mark.parametrize("estimate", [ld.estimate_moments, ld.estimate_length_variance])
+def test_supercritical_scale_raises_before_any_draw(estimate, monkeypatch):
+    # tied GOE diverges at V = 1/4
+    monkeypatch.setattr(ld, "sample", lambda *args: pytest.fail("a matrix was drawn"))
+    with pytest.raises(CriticalScaleError):
+        estimate(EnsembleSpec(Family.GOE, 20, 0.3), TIED, 3)
+
+
 class TestEstimateLengthVariance:
     def test_zero_scale_is_one(self):
         spec = EnsembleSpec(Family.GOE, 60, 0.0)
-        report = ld.estimate_length_variance(spec, TIED, 3)
-        assert report.mc_mean == pytest.approx(1.0, abs=1e-12)
+        values, _ = ld.estimate_length_variance(spec, TIED, 3)
+        assert summarize(values).mean == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_tied_half(self):
         spec = EnsembleSpec(Family.ORTHOGONAL, 600, 0.5)
-        report = ld.estimate_length_variance(spec, TIED, 5)
-        assert report.theory_value == pytest.approx(12.0)
-        assert report.mc_median == pytest.approx(12.0, rel=0.05)
+        values, _ = ld.estimate_length_variance(spec, TIED, 5)
+        assert length_variance_theory(spec.family, TIED, spec.scale) == pytest.approx(12.0)
+        assert summarize(values).median == pytest.approx(12.0, rel=0.05)
 
     def test_untied_orthogonal_half(self):
         spec = EnsembleSpec(Family.ORTHOGONAL, 300, 0.5)
-        report = ld.estimate_length_variance(spec, UNTIED, 50)
-        assert report.theory_value == pytest.approx(20.0 / 3.0)
-        assert abs(report.mc_mean - report.theory_value) < 3 * report.mc_stderr
+        stats = summarize(ld.estimate_length_variance(spec, UNTIED, 50)[0])
+        theory = length_variance_theory(spec.family, UNTIED, spec.scale)
+        assert theory == pytest.approx(20.0 / 3.0)
+        assert abs(stats.mean - theory) < 3 * stats.stderr
 
     def test_hutchinson_mode_consistent(self):
         spec = EnsembleSpec(Family.RANDOM, 300, 0.3)
-        exact = ld.estimate_length_variance(spec, TIED, 8, estimator_mode="exact")
-        noisy = ld.estimate_length_variance(spec, TIED, 8, estimator_mode="hutchinson", n_probes=64)
-        assert noisy.mc_mean == pytest.approx(exact.mc_mean, rel=0.15)
+        exact, _ = ld.estimate_length_variance(spec, TIED, 8, estimator_mode="exact")
+        noisy, _ = ld.estimate_length_variance(spec, TIED, 8, estimator_mode="hutchinson", n_probes=64)
+        assert summarize(noisy).mean == pytest.approx(summarize(exact).mean, rel=0.15)
 
     def test_truncation_depth(self):
         assert ld.untied_truncation_depth(0.5) == 20

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deqlab import nonlinear_deq as nl
+from deqlab.numerics import summarize
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.nonlinear_deq import HARD_TANH, IDENTITY, TANH
 
@@ -162,24 +163,17 @@ class TestPredictCritical:
 
 class TestResidualSweep:
     def test_deep_subcritical_all_converge(self):
-        cells = nl.residual_sweep(
-            [Family.RANDOM, Family.GOE, Family.ORTHOGONAL],
-            [0.1],
-            n=300,
-            n_seeds=5,
-            t_probe=400,
-        )
-        for cell in cells:
-            assert cell.residual_q75 < 1e-8
-            assert cell.frac_above_1e3 == 0.0
+        for family in (Family.RANDOM, Family.GOE, Family.ORTHOGONAL):
+            (row,) = nl.residual_sweep(family, [0.1], n=300, n_seeds=5, t_probe=400)
+            assert summarize(row).q75 < 1e-8
+            assert np.mean(row > 1e-3) == 0.0
 
     def test_identity_transition_at_unit_scale(self):
-        cells = nl.residual_sweep(
-            [Family.ORTHOGONAL], [0.9, 1.1], n=200, n_seeds=5, t_probe=400, phi=IDENTITY
+        below, above = nl.residual_sweep(
+            Family.ORTHOGONAL, [0.9, 1.1], n=200, n_seeds=5, t_probe=400, phi=IDENTITY
         )
-        below, above = cells
-        assert below.residual_median < 1e-6
-        assert above.residual_median > 1e-3
+        assert summarize(below).median < 1e-6
+        assert summarize(above).median > 1e-3
 
     def test_stability_tracks_predicted_radius(self):
         # theory radius < 0.95 -> nearly every seed settles by the probe
@@ -190,11 +184,11 @@ class TestResidualSweep:
                 state = nl.sigma_h_selfconsistent(sq * sq, HARD_TANH)
                 r = nl.radius_theory(family, sq * sq, HARD_TANH, state.sigma_h_sq)
                 assert (r < 0.95) if stable else (r > 1.05)
-                cells = nl.residual_sweep([family], [sq], n=n, n_seeds=n_seeds, t_probe=500)
-                frac_converged = 1.0 - cells[0].frac_above_1e3
+                (row,) = nl.residual_sweep(family, [sq], n=n, n_seeds=n_seeds, t_probe=500)
+                frac_converged = 1.0 - float(np.mean(row > 1e-3))
                 if stable:
                     assert frac_converged >= 0.95
-                    assert cells[0].residual_q75 < 1e-8
+                    assert summarize(row).q75 < 1e-8
                 else:
                     assert frac_converged < 0.05
 
