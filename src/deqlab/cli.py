@@ -43,6 +43,11 @@ DEFAULT_SEEDS = {
 # config-file key -> ExperimentConfig field, for every settable field
 SETTINGS = {f.name: f for f in fields(ExperimentConfig) if "parse" in f.metadata}
 
+# keys that only some experiments read -> those experiments; setting one elsewhere is an error
+READ_BY = {"weight_mode": ("moments",), "phi": ("fig2", "fig3", "fig4", "train-probe")}
+READ_BY |= dict.fromkeys(("lr", "steps", "dataset_size"), ("train-probe",))
+READ_BY |= dict.fromkeys(("families", "grid"), tuple(e for e in EXPERIMENTS if e != "freeprob-check"))
+
 
 class ConfigError(ValueError):
     """Aggregated, line-numbered configuration problems."""
@@ -110,6 +115,11 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         errors.append("missing required key 'experiment'")
     elif experiment not in EXPERIMENTS:
         errors.append(f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
+    else:
+        for key, (lineno, _) in raw.items():
+            if key in values and experiment not in READ_BY.get(key, (experiment,)):
+                where = f"line {lineno}: " if lineno is not None else ""
+                errors.append(f"{where}{experiment} does not read {key}")
     if errors:
         raise ConfigError(errors)
 
@@ -147,7 +157,9 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         bad = [g for g in config.grid if g < 0.0]
         if bad:
             errors.append(f"{config.experiment} grid values are sqrt(V) >= 0; got {bad}")
-    reads_estimator = config.experiment == "fig1" or (config.experiment == "moments" and config.weight_mode != "untied")
+    reads_estimator = config.experiment == "fig1" or (
+        config.experiment == "moments" and config.weight_mode != "untied" and config.seeds > 0
+    )
     if config.estimator == "hutchinson" and not reads_estimator:
         errors.append("estimator hutchinson applies only to tied length-variance cells (fig1, moments tied or both)")
     if config.experiment in ("fig3", "fig4") and Family.GOE in config.families and config.phi not in ZERO_ONE_GATES:

@@ -24,22 +24,34 @@ SIGMA_X_SQ = 1.0  # input coordinate variance of every Monte-Carlo sweep
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Elementwise map with its derivative; monotone nondecreasing, phi(0)=0."""
+    """Elementwise map with its derivative; monotone nondecreasing, phi(0)=0.
+
+    ``gaussian_moments``, set for the 0/1 gates only (so E[phi'^2] = E[phi']),
+    maps s to the closed forms ``(E[phi(h)^2], E[phi'(h)])``, h ~ N(0, s).
+    """
 
     name: str
     phi: object
     dphi: object
-
-    def __call__(self, h):
-        return self.phi(h)
+    gaussian_moments: object = None
 
 
-IDENTITY = Nonlinearity("identity", lambda h: np.asarray(h, dtype=float), lambda h: np.ones_like(np.asarray(h, dtype=float)))
-HARD_TANH = Nonlinearity("hard_tanh", lambda h: np.clip(h, -1.0, 1.0), lambda h: (np.abs(np.asarray(h, dtype=float)) < 1.0).astype(float))
+def _hard_tanh_moments(s: float) -> tuple[float, float]:
+    """With a = 1/sqrt(s) and g = erf(a/sqrt 2): E[phi'] = g and E[phi^2] =
+    s (g - 2 a pdf(a)) + erfc(a/sqrt 2) (Poole et al. 2016; Schoenholz et al. 2017)."""
+    if s == 0.0:
+        return 0.0, 1.0
+    a = 1.0 / math.sqrt(s)
+    g = math.erf(a / math.sqrt(2.0))
+    return s * (g - 2.0 * a * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)) + math.erfc(a / math.sqrt(2.0)), g
+
+
+IDENTITY = Nonlinearity("identity", lambda h: np.asarray(h, dtype=float), lambda h: np.ones_like(np.asarray(h, dtype=float)), lambda s: (s, 1.0))
+HARD_TANH = Nonlinearity("hard_tanh", lambda h: np.clip(h, -1.0, 1.0), lambda h: (np.abs(np.asarray(h, dtype=float)) < 1.0).astype(float), _hard_tanh_moments)
 TANH = Nonlinearity("tanh", np.tanh, lambda h: 1.0 / np.cosh(np.asarray(h, dtype=float)) ** 2)
 
 NONLINEARITIES = {f.name: f for f in (IDENTITY, HARD_TANH, TANH)}
-ZERO_ONE_GATES = ("identity", "hard_tanh")  # phi' is 0/1: the GOE radius has a closed form
+ZERO_ONE_GATES = tuple(f.name for f in NONLINEARITIES.values() if f.gaussian_moments)  # GOE radius in closed form
 
 
 class SelfConsistencyError(RuntimeError):
@@ -94,9 +106,8 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
 
     Models ``h_i ~ N(0, s)`` with inputs of coordinate variance SIGMA_X_SQ
     and damps ``s <- s + (V (E[phi(h)^2] + SIGMA_X_SQ) - s) / 2`` until the
-    update falls to 1e-10, within 10,000 steps.  Gaussian expectations go
-    through the quadrature kernel, so kinked maps (hard-tanh) are handled
-    exactly.
+    update falls to 1e-10, within 10,000 steps.  The 0/1 gates read their
+    Gaussian moments in closed form; other maps go through quadrature.
     """
     if v < 0:
         raise ValueError("scale must be >= 0")
@@ -105,12 +116,13 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
     growth_cap = 1e12 * max(1.0, v)
     residual = math.inf
     prev_delta: float | None = None
+    closed = phi.gaussian_moments
     for it in range(1, max_iter + 1):
-        sig_phi = numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
+        sig_phi = closed(s)[0] if closed else numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
         target = v * (sig_phi + SIGMA_X_SQ)
         residual = abs(target - s)
         if residual <= 1e-10:
-            p = numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
+            p = closed(s)[1] if closed else numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
             return SelfConsistentState(s, sig_phi, p, v, it, residual)
         delta = 0.5 * (target - s)
         # Aitken jump when successive damped steps contract geometrically;
@@ -150,13 +162,11 @@ def radius_theory(family: Family, v: float, phi: Nonlinearity, sigma_h_sq: float
     family = Family(family)
     if sigma_h_sq < 0:
         raise ValueError("sigma_h_sq must be >= 0")
+    if phi.gaussian_moments is not None:
+        p = phi.gaussian_moments(sigma_h_sq)[1]  # = E[phi'^2] for a 0/1 gate
+        return (2.0 if family is Family.GOE else 1.0) * math.sqrt(v * p)
     if family is Family.GOE:
-        if phi.name not in ZERO_ONE_GATES:
-            raise UnsupportedNonlinearityError(
-                f"GOE radius for {phi.name!r} requires numerical free convolution"
-            )
-        p = numerics.gauss_hermite_expect(phi.dphi, 0.0, sigma_h_sq)
-        return 2.0 * math.sqrt(v * p)
+        raise UnsupportedNonlinearityError(f"GOE radius for {phi.name!r} requires numerical free convolution")
     gate_sq = numerics.gauss_hermite_expect(lambda h: phi.dphi(h) ** 2, 0.0, sigma_h_sq)
     return math.sqrt(v * gate_sq)
 

@@ -269,10 +269,12 @@ def gauss_hermite_expect(f, mean: float, variance: float) -> float:
     """``E[f(h)]`` for ``h ~ N(mean, variance)``.
 
     Gauss-Hermite with 64 nodes and a 128-node check; exact for polynomials
-    up to degree 127.  When the two rules disagree
-    (kinked or discontinuous f), falls back to adaptive Gauss-Kronrod on the
-    standardized variable, which resolves piecewise-smooth bounded integrands
-    to ~1e-12 absolute.
+    up to degree 127.  When the two rules disagree, falls back to adaptive
+    Gauss-Kronrod on the standardized variable over 15 standard deviations:
+    ~1e-15 absolute for smooth bounded f such as tanh.  Kinks are not
+    located, so a window much narrower than the standard deviation (the
+    hard-tanh gate ``|h| < 1`` at variance ~30 and above) is missed; the 0/1
+    gates use ``Nonlinearity.gaussian_moments`` instead.
     """
     if not np.isfinite(variance) or variance < 0:
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
@@ -293,8 +295,8 @@ def gauss_hermite_expect(f, mean: float, variance: float) -> float:
         return float(f(np.asarray(mean + sd * t))) * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
 
     with warnings.catch_warnings():
-        # tolerance is requested below what the integrand's kinks admit; the
-        # roundoff warning is expected and the result is still ~1e-12 accurate
+        # tolerance is requested at the roundoff floor; the warning that it
+        # cannot be met is expected and the result is still ~1e-15 accurate
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         val, _ = scipy.integrate.quad(
             integrand, -15.0, 15.0, epsabs=1e-12, epsrel=1e-12, limit=500

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from deqlab import cli
+from deqlab import cli, numerics
 from deqlab.cli import ConfigError, validate_config
 from deqlab.experiments import CSV_COLUMNS, parse_grid
 
@@ -85,16 +85,20 @@ SAMPLE_VALUES = {
 }
 
 
+# An experiment that reads each key; fig1 reads --estimator hutchinson at any weight mode.
+READER = {"weight_mode": "moments", "phi": "fig2", "lr": "train-probe", "steps": "train-probe", "dataset_size": "train-probe"}
+
+
 class TestFlagsMatchConfigKeys:
     def test_every_key_has_a_flag_that_sets_the_same_value(self, tmp_path):
         assert set(cli.SETTINGS) == {"experiment", *SAMPLE_VALUES}
-        # fig1, as the one experiment that reads --estimator hutchinson at any weight mode
-        default = validate_config(None, {"experiment": "fig1"})
         for key, text in SAMPLE_VALUES.items():
+            experiment = READER.get(key, "fig1")
+            default = validate_config(None, {"experiment": experiment})
             path = tmp_path / f"{key}.cfg"
-            path.write_text(f"experiment=fig1\n{key}={text}\n", encoding="utf-8")
+            path.write_text(f"experiment={experiment}\n{key}={text}\n", encoding="utf-8")
             from_file = validate_config(str(path))
-            flags = vars(cli.build_parser().parse_args(["fig1", "--" + key.replace("_", "-"), text]))
+            flags = vars(cli.build_parser().parse_args([experiment, "--" + key.replace("_", "-"), text]))
             from_flag = validate_config(flags.pop("config"), flags)
             assert getattr(from_flag, key) == getattr(from_file, key) != getattr(default, key), key
 
@@ -236,13 +240,61 @@ class TestCliRuns:
 
     @pytest.mark.parametrize(
         "args",
-        [["fig2"], ["fig4"], ["train-probe"], ["freeprob-check"], ["moments", "--weight-mode", "untied", "--seeds", "2"]],
+        [
+            ["fig2"],
+            ["fig4"],
+            ["train-probe"],
+            ["freeprob-check"],
+            ["moments", "--weight-mode", "untied", "--seeds", "2"],
+            ["moments", "--weight-mode", "tied"],  # theory only: no trace is estimated
+        ],
     )
     def test_unread_hutchinson_estimator_rejected(self, args, tmp_path, capsys):
         out = tmp_path / "h.csv"
         assert _run_cli([*args, "--estimator", "hutchinson", "--n", "8", "--out", str(out)]) == 1
         assert "config error: estimator hutchinson applies only to" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [
+            ("fig1", "--weight-mode", "untied"),
+            ("fig2", "--weight-mode", "tied"),
+            ("train-probe", "--weight-mode", "both"),
+            ("fig1", "--phi", "tanh"),
+            ("moments", "--phi", "identity"),
+            ("freeprob-check", "--phi", "tanh"),
+            ("fig4", "--lr", "0.3"),
+            ("fig1", "--steps", "5"),
+            ("moments", "--dataset-size", "8"),
+            ("freeprob-check", "--families", "goe"),
+            ("freeprob-check", "--grid", "0.2:0.4:2"),
+        ],
+    )
+    def test_unread_key_rejected(self, experiment, flag, value, tmp_path, capsys):
+        out = tmp_path / "unread.csv"
+        assert _run_cli([experiment, flag, value, "--n", "8", "--seeds", "2", "--out", str(out)]) == 1
+        key = flag[2:].replace("-", "_")
+        assert f"config error: {experiment} does not read {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_key_in_file_is_line_numbered(self, tmp_path):
+        path = tmp_path / "u.cfg"
+        path.write_text("experiment=fig1\nn=64\nweight_mode=tied\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            validate_config(str(path))
+        assert err.value.errors == ["line 3: fig1 does not read weight_mode"]
+
+    @pytest.mark.parametrize("phi", ["hard_tanh", "identity"])
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "fig4"])
+    def test_zero_one_gates_run_without_quadrature(self, experiment, phi, tmp_path, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("a 0/1 gate reached numerics.gauss_hermite_expect")
+
+        monkeypatch.setattr(numerics, "gauss_hermite_expect", no_quadrature)
+        out = tmp_path / "gate.csv"
+        args = [experiment, "--n", "20", "--seeds", "1", "--grid", "0.3:0.6:2", "--phi", phi, "--out", str(out)]
+        assert _run_cli(args) == 0
 
     def test_train_probe_small(self, tmp_path):
         out = tmp_path / "tp.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deqlab.ensembles import (
     EnsembleSpec,
@@ -101,3 +103,40 @@ def test_invalid_specs_rejected():
         EnsembleSpec(Family.RANDOM, 10, -0.5)
     with pytest.raises(ValueError):
         EnsembleSpec("not-a-family", 10, 0.5)
+
+
+BASES = st.integers(0, 2**63 - 1)
+FAMILIES = st.sampled_from(list(Family))
+LABELS = st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple)
+
+
+def _stream(base, family, labels):
+    return seed_for(base, family, *labels).generator().standard_normal(6)
+
+
+@settings(deadline=None)
+@given(base=BASES, family=FAMILIES, tuples=st.lists(LABELS, min_size=1, max_size=5, unique=True), data=st.data())
+def test_stream_independent_of_earlier_draws_and_order(base, family, tuples, data):
+    alone = {labels: _stream(base, family, labels) for labels in tuples}
+    started = []
+    for labels in data.draw(st.permutations(tuples)):
+        for gen in started:  # advance every stream opened before this one
+            gen.standard_normal(data.draw(st.integers(0, 5)))
+        gen = seed_for(base, family, *labels).generator()
+        assert np.array_equal(gen.standard_normal(6), alone[labels])
+        started.append(gen)
+
+
+@settings(deadline=None)
+@given(a=st.tuples(BASES, FAMILIES, LABELS), b=st.tuples(BASES, FAMILIES, LABELS))
+def test_distinct_label_tuples_give_distinct_streams(a, b):
+    if a != b:
+        assert not np.array_equal(_stream(*a), _stream(*b))
+
+
+@settings(deadline=None)
+@given(base=BASES, family=FAMILIES, a=LABELS, b=LABELS)
+def test_child_of_child_equals_one_child(base, family, a, b):
+    seed = seed_for(base, family)
+    assert seed.child(*a).child(*b) == seed.child(*a, *b)
+    assert np.array_equal(seed.child(*a).child(*b).generator().random(4), seed.child(*a, *b).generator().random(4))

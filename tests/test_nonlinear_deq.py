@@ -80,6 +80,39 @@ class TestSigmaHSelfConsistent:
         assert err.value.last_state.scale == 1.2
 
 
+class TestGaussianMoments:
+    @pytest.mark.parametrize("s", [0.01, 0.3, 1.0, 2.5, 10.0, 36.0, 100.0, 1e4])
+    def test_hard_tanh_closed_forms_match_quadrature_in_h(self, s, quad_expect):
+        sq, gate = HARD_TANH.gaussian_moments(s)
+        assert abs(sq - quad_expect(lambda h: min(h * h, 1.0), s)) <= 1e-12
+        assert abs(gate - quad_expect(lambda h: float(abs(h) < 1.0), s)) <= 1e-12
+
+    def test_zero_variance(self):
+        assert HARD_TANH.gaussian_moments(0.0) == (0.0, 1.0)
+        assert IDENTITY.gaussian_moments(0.0) == (0.0, 1.0)
+        assert TANH.gaussian_moments is None
+
+    def test_large_scale_self_consistent_state(self):
+        # 40-digit mpmath solve of s = 36 (E[phi^2] + 1): s = 69.709754529204864,
+        # p = erf(1 / sqrt(2 s)) = 0.095335782932858061
+        state = nl.sigma_h_selfconsistent(36.0, HARD_TANH)
+        assert state.sigma_h_sq == pytest.approx(69.709754529204864, rel=1e-12)
+        assert state.p_active == pytest.approx(0.095335782932858061, rel=1e-12)
+        radius = nl.radius_theory(Family.RANDOM, 36.0, HARD_TANH, state.sigma_h_sq)
+        assert radius == pytest.approx(1.8525895890841258, rel=1e-12)
+
+    def test_zero_one_gates_never_reach_quadrature(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("a 0/1 gate reached numerics.gauss_hermite_expect")
+
+        monkeypatch.setattr(nl.numerics, "gauss_hermite_expect", no_quadrature)
+        for phi in (HARD_TANH, IDENTITY):
+            for family in Family:
+                assert 0.05 < nl.predict_critical_v(family, phi) < 4.0
+            state = nl.sigma_h_selfconsistent(0.36, phi)
+            assert nl.radius_theory(Family.GOE, 0.36, phi, state.sigma_h_sq) > 0.0
+
+
 class TestRadiusTheory:
     def test_identity_random(self):
         assert nl.radius_theory(Family.RANDOM, 0.81, IDENTITY, 1.0) == pytest.approx(0.9)

@@ -6,6 +6,7 @@ import pytest
 from deqlab import numerics
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.freeprob import kolmogorov_distance, semicircle_cdf
+from deqlab.nonlinear_deq import TANH
 
 
 def _affine_step(a):
@@ -212,6 +213,19 @@ class TestGaussHermiteExpect:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             numerics.gauss_hermite_expect(lambda h: h, 0.0, -1.0)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 30.0, 100.0, 1000.0])
+    def test_tanh_moments_match_quadrature_in_h(self, s, quad_expect):
+        # the expectations the scalar solve and the radius read for tanh
+        cases = [
+            (lambda h: TANH.phi(h) ** 2, lambda h: math.tanh(h) ** 2),
+            (TANH.dphi, lambda h: 1.0 - math.tanh(h) ** 2),
+            (lambda h: TANH.dphi(h) ** 2, lambda h: (1.0 - math.tanh(h) ** 2) ** 2),
+        ]
+        for f, oracle in cases:
+            with np.errstate(over="ignore"):  # cosh(h)^2 overflows far out, where sech^2 is 0
+                got = numerics.gauss_hermite_expect(f, 0.0, s)
+            assert abs(got - quad_expect(oracle, s)) <= 1e-12
 
 
 class TestSpectralDensity:
