@@ -3,8 +3,11 @@
 The files under ``tests/golden/`` were written by the command-line runs in
 ``RUNS``.  Text and integer cells must match exactly; float cells to 1e-12
 relative, so that a different BLAS build does not fail the check.  Every
-grid settles or clips; none sits in a chaotic supercritical cell.  Each run
-must also write the same bytes at ``--threads 3`` as at one thread.
+grid settles or clips; none sits in a chaotic supercritical cell.  The
+``train-probe-diverged`` run pins the diverged cells: with the identity map a
+forward solve at spectral radius 1.3-2.6 fails at once, whatever the
+low-order bits.  Each run must also write the same bytes at ``--threads 3``
+as at one thread.
 """
 
 import csv
@@ -28,6 +31,8 @@ RUNS = {
     "freeprob-check": ["freeprob-check", "--n", "60", "--seeds", "2"],
     "train-probe": ["train-probe", "--n", "8", "--seeds", "2", "--grid", "0.1:0.3:2",
                     "--steps", "3"],
+    "train-probe-diverged": ["train-probe", "--n", "12", "--seeds", "3", "--grid", "0.3:1.3:3",
+                             "--phi", "identity", "--steps", "0"],
 }
 
 
