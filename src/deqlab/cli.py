@@ -29,7 +29,7 @@ from .ensembles import Family
 from .experiments import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig, ResultRow
 from .nonlinear_deq import ZERO_ONE_GATES
 
-DEFAULT_N = {"fig1": 2000}
+DEFAULT_N = {"fig1": 2000, "train-probe": 64}
 DEFAULT_SEEDS = {
     "fig1": 5,
     "fig2": 20,

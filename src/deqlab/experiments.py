@@ -35,7 +35,7 @@ from .nonlinear_deq import (
     residual_sweep,
     sigma_h_selfconsistent,
 )
-from .train_probe import ProbeTask, summarize_sweep, train_stability_sweep
+from .train_probe import descend, probe_dataset
 
 DEFAULT_FIG1_DELTAS = (0.05, 0.075, 0.1, 0.15, 0.22, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_SQRT_V_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -99,8 +99,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise ValueError(f"grid must be lo:hi:steps or lo:hi:steps:log, got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 1 or hi < lo:
-        raise ValueError(f"grid needs hi >= lo and steps >= 1, got {text!r}")
+    if steps < 1 or hi < lo or (hi == lo and steps > 1):
+        raise ValueError(f"grid needs steps >= 1, hi >= lo and distinct points, got {text!r}")
     if steps == 1:
         return (lo,)
     if len(parts) == 4:
@@ -111,8 +111,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_families(text: str) -> tuple[Family, ...]:
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(Family(name) for name in names)
+    families = tuple(Family(t.strip()) for t in text.split(",") if t.strip())
+    if len(set(families)) < len(families):
+        raise ValueError(f"families must be distinct, got {text!r}")
+    return families
 
 
 def _setting(default, parse, help: str, choices: tuple[str, ...] | None = None):
@@ -129,7 +131,7 @@ class ExperimentConfig:
     """
 
     experiment: str = field(metadata={"parse": str, "help": "experiment to run", "choices": None})
-    n: int = _setting(1000, int, "matrix dimension (default 1000; fig1 2000)")
+    n: int = _setting(1000, int, "matrix dimension (default 1000; fig1 2000, train-probe 64)")
     seed: int = _setting(0, int, "base seed for all derived streams (default 0)")
     seeds: int = _setting(20, int, "replicates per cell (per-experiment default)")
     families: tuple[Family, ...] = _setting(
@@ -399,45 +401,36 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
 
 
 # ---------------------------------------------------------------------------
-# train-probe: gradient-descent stability sweep
+# train-probe: gradient descent from each seed's draw, per (family, sqrt(V))
 # ---------------------------------------------------------------------------
 
 
 def run_train_probe(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
+    """Families in name order, then sqrt(V) ascending; three rows per cell."""
     grid = config.grid or (0.05, 0.3, 0.6, 0.9, 1.2)
-    task = ProbeTask(
-        teacher_seed=config.seed + 1,
-        n_samples=config.dataset_size,
-        dim=min(config.n, 64),
-    )
-    phi = NONLINEARITIES[config.phi]
+    cells = [(family, float(sqrt_v)) for family in sorted(config.families) for sqrt_v in grid]
+    return [row for rows in parallel_map(lambda c: train_cell(config, *c), cells) for row in rows]
 
-    def one_family(family: Family) -> list:
-        return train_stability_sweep(
-            task, [family], grid, config.seeds, lr=config.lr, steps=config.steps, phi=phi, base_seed=config.seed
-        )
 
-    records = [rec for recs in parallel_map(one_family, config.families) for rec in recs]
-    rows: list[ResultRow] = []
-    for cell in summarize_sweep(records):
-        common = dict(
-            experiment="train-probe",
-            family=cell.family.value,
-            v=cell.sqrt_scale**2,
-            sqrt_v=cell.sqrt_scale,
-            n=task.dim,
-            seeds=cell.n_seeds,
-        )
-        rows.append(ResultRow(statistic="divergence_rate", emp_mean=cell.divergence_rate, **common))
-        rows.append(ResultRow(statistic="mean_final_train_loss", emp_mean=cell.mean_final_loss, **common))
-        rows.append(
-            ResultRow(
-                statistic="median_steps_to_half_loss",
-                emp_mean=cell.median_steps_to_threshold,
-                **common,
-            )
-        )
-    return rows
+def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[ResultRow]:
+    """Descend from each seed's (W, v), drawn alike at every sqrt(V); the loss
+    and the steps to half loss are over the runs that did not diverge."""
+    xs, ys = probe_dataset(config.seed + 1, config.dataset_size, config.n)
+    spec = EnsembleSpec(family, config.n, sqrt_v * sqrt_v)
+    runs = []
+    for rep in range(config.seeds):
+        seed = seed_for(config.seed, family, 11, rep)
+        v = seed.child(1).generator().standard_normal(config.n) / math.sqrt(config.n)
+        runs.append(descend(sample(spec, seed), v, xs, ys, config.lr, config.steps, NONLINEARITIES[config.phi]))
+    alive = [run for run in runs if run is not None]
+    hits = [hit for _, hit in alive if hit is not None]
+    stats = {
+        "divergence_rate": (len(runs) - len(alive)) / len(runs),
+        "mean_final_train_loss": float(np.mean([loss for loss, _ in alive])) if alive else math.inf,
+        "median_steps_to_half_loss": float(np.median(hits)) if hits else None,
+    }
+    common = dict(experiment="train-probe", family=family.value, v=sqrt_v**2, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds)
+    return [ResultRow(statistic=name, emp_mean=value, **common) for name, value in stats.items()]
 
 
 EXPERIMENTS = {

@@ -46,9 +46,14 @@ def _hard_tanh_moments(s: float) -> tuple[float, float]:
     return s * (g - 2.0 * a * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)) + math.erfc(a / math.sqrt(2.0)), g
 
 
+def _sech_sq(h):
+    with np.errstate(over="ignore"):  # cosh(h)**2 overflows past |h| ~ 355, and 1/inf = 0 is the limit
+        return 1.0 / np.cosh(np.asarray(h, dtype=float)) ** 2
+
+
 IDENTITY = Nonlinearity("identity", lambda h: np.asarray(h, dtype=float), lambda h: np.ones_like(np.asarray(h, dtype=float)), lambda s: (s, 1.0))
 HARD_TANH = Nonlinearity("hard_tanh", lambda h: np.clip(h, -1.0, 1.0), lambda h: (np.abs(np.asarray(h, dtype=float)) < 1.0).astype(float), _hard_tanh_moments)
-TANH = Nonlinearity("tanh", np.tanh, lambda h: 1.0 / np.cosh(np.asarray(h, dtype=float)) ** 2)
+TANH = Nonlinearity("tanh", np.tanh, _sech_sq)
 
 NONLINEARITIES = {f.name: f for f in (IDENTITY, HARD_TANH, TANH)}
 ZERO_ONE_GATES = tuple(f.name for f in NONLINEARITIES.values() if f.gaussian_moments)  # GOE radius in closed form

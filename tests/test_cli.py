@@ -37,6 +37,9 @@ class TestValidateConfig:
     def test_fig1_dimension_default(self):
         assert validate_config(None, {"experiment": "fig1"}).n == 2000
 
+    def test_train_probe_dimension_default(self):
+        assert validate_config(None, {"experiment": "train-probe"}).n == 64
+
     def test_unknown_key_line_numbered(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("experiment=fig2\nbogus=3\n", encoding="utf-8")
@@ -230,6 +233,22 @@ class TestCliRuns:
         assert f"config error: {message} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["train-probe", "--grid", "0.1:0.1:2"], "grid"),
+            (["fig2", "--grid", "0.3:0.3:3:log"], "grid"),
+            (["train-probe", "--families", "random,random"], "families"),
+            (["fig2", "--families", "goe,random,goe"], "families"),
+        ],
+        ids=["train-probe-grid", "fig2-log-grid", "train-probe-families", "fig2-families"],
+    )
+    def test_repeated_family_or_grid_point_rejected(self, args, key, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        assert _run_cli([*args, "--n", "8", "--seeds", "2", "--out", str(out)]) == 1
+        assert f"config error: bad value for '{key}': " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", ["fig2", "fig3", "fig4", "train-probe"])
     def test_negative_sqrt_v_grid_rejected(self, experiment, tmp_path, capsys):
         out = tmp_path / "neg.csv"
@@ -306,6 +325,14 @@ class TestCliRuns:
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         stats = {line.split(",")[8] for line in rows}
         assert "divergence_rate" in stats
+
+    def test_train_probe_honours_n(self, tmp_path):
+        out = tmp_path / "tp.csv"
+        args = ["train-probe", "--n", "70", "--seeds", "1", "--grid", "0.1:0.1:1", "--steps", "1",
+                "--dataset-size", "2", "--families", "random", "--out", str(out)]
+        assert _run_cli(args) == 0
+        rows = _rows(out)
+        assert len(rows) == 3 and all(row["n"] == "70" for row in rows)
 
     def test_freeprob_check_small(self, tmp_path):
         out = tmp_path / "fp.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ class TestSigmaHSelfConsistent:
         with pytest.raises(nl.SelfConsistencyError) as err:
             nl.sigma_h_selfconsistent(1.2, IDENTITY)
         assert err.value.last_state.scale == 1.2
+
+
+class TestTanhDerivative:
+    def test_far_tail_is_zero_without_overflow(self):
+        # cosh(h)**2 overflows past |h| ~ 355; sech(h)**2 is then 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = TANH.dphi([0.5, 400.0, -800.0])
+            state = nl.sigma_h_selfconsistent(900.0, TANH)
+        assert list(got) == [1.0 / np.cosh(0.5) ** 2, 0.0, 0.0]
+        assert math.isfinite(state.sigma_h_sq)
 
 
 class TestGaussianMoments:

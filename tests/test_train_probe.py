@@ -1,8 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from deqlab import cli
 from deqlab import train_probe as tp
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.linear_deq import solve_closed_form
@@ -91,36 +93,45 @@ class TestDeqVjp:
             tp.deq_vjp(np.eye(n), _x(n, 10), IDENTITY, _x(n, 11), z_star=np.zeros(n))
 
 
-class TestProbeTask:
+def _draw(family, sqrt_v, dim, rep=0, base_seed=0):
+    """A seed's (W, v) as train-probe draws them."""
+    seed = seed_for(base_seed, family, 11, rep)
+    w = sample(EnsembleSpec(family, dim, sqrt_v * sqrt_v), seed)
+    return w, seed.child(1).generator().standard_normal(dim) / math.sqrt(dim)
+
+
+class TestProbeDataset:
     def test_dataset_deterministic_and_split(self):
-        task = tp.ProbeTask(teacher_seed=3, n_samples=20, dim=6)
-        xs1, ys1 = task.dataset()
-        xs2, ys2 = task.dataset()
+        xs1, ys1 = tp.probe_dataset(teacher_seed=3, n_samples=20, dim=6)
+        xs2, ys2 = tp.probe_dataset(teacher_seed=3, n_samples=20, dim=6)
         assert np.array_equal(xs1, xs2) and np.array_equal(ys1, ys2)
         assert xs1.shape == (16, 6) and ys1.shape == (16,)
 
 
 class TestTrainSweep:
     def test_deep_subcritical_never_diverges(self):
-        task = tp.ProbeTask(teacher_seed=1, n_samples=12, dim=24)
-        records = tp.train_stability_sweep(
-            task, [Family.RANDOM], [0.05], n_seeds=10, lr=0.05, steps=8, phi=HARD_TANH
-        )
-        assert len(records) == 10
-        assert all(not r.diverged for r in records)
+        xs, ys = tp.probe_dataset(teacher_seed=1, n_samples=12, dim=24)
+        for rep in range(10):
+            w, v = _draw(Family.RANDOM, 0.05, 24, rep)
+            assert tp.descend(w, v, xs, ys, lr=0.05, steps=8, phi=HARD_TANH) is not None
 
     def test_supercritical_identity_fails_at_step_zero(self):
-        task = tp.ProbeTask(teacher_seed=1, n_samples=8, dim=24)
-        records = tp.train_stability_sweep(
-            task, [Family.ORTHOGONAL], [1.2], n_seeds=5, lr=0.01, steps=5, phi=IDENTITY
-        )
-        assert all(r.diverged for r in records)
-        assert all(r.steps_to_threshold is None for r in records)
+        xs, ys = tp.probe_dataset(teacher_seed=1, n_samples=8, dim=24)
+        for rep in range(5):
+            w, v = _draw(Family.ORTHOGONAL, 1.2, 24, rep)
+            assert tp.descend(w, v, xs, ys, lr=0.01, steps=5, phi=IDENTITY) is None
+            assert tp.descend(w, v, xs, ys, lr=0.01, steps=0, phi=IDENTITY) is None
+
+    def test_zero_steps_keep_the_initial_loss(self):
+        xs, ys = tp.probe_dataset(teacher_seed=1, n_samples=10, dim=16)
+        w, v = _draw(Family.RANDOM, 0.2, 16)
+        loss0 = float(np.mean([(v @ tp.deq_forward(w, x, HARD_TANH).solution - y) ** 2 for x, y in zip(xs, ys)]))
+        loss, hit = tp.descend(w, v, xs, ys, lr=0.05, steps=0, phi=HARD_TANH)
+        assert loss == pytest.approx(loss0, rel=1e-12) and hit is None
 
     def test_loss_decreases_in_subcritical_regime(self):
         # ten plain descent steps through the implicit gradient
-        task = tp.ProbeTask(teacher_seed=2, n_samples=12, dim=20)
-        xs, ys = task.dataset()
+        xs, ys = tp.probe_dataset(teacher_seed=2, n_samples=12, dim=20)
         for sq in (0.1, 0.2):
             spec = EnsembleSpec(Family.RANDOM, 20, sq * sq)
             seed = seed_for(10, Family.RANDOM, 0, 0)
@@ -145,11 +156,19 @@ class TestTrainSweep:
                 v = v - 0.05 * grad_v
             assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    def test_summary_shapes(self):
-        task = tp.ProbeTask(teacher_seed=1, n_samples=10, dim=16)
-        records = tp.train_stability_sweep(
-            task, [Family.GOE, Family.ORTHOGONAL], [0.1, 0.4], n_seeds=3, lr=0.05, steps=5, phi=HARD_TANH
-        )
-        cells = tp.summarize_sweep(records)
-        assert len(cells) == 4
-        assert all(0.0 <= c.divergence_rate <= 1.0 for c in cells)
+    def test_summary_shapes(self, tmp_path):
+        out = tmp_path / "tp.csv"
+        args = ["train-probe", "--n", "16", "--seeds", "3", "--grid", "0.1:0.4:2", "--steps", "5",
+                "--dataset-size", "10", "--families", "orthogonal,goe"]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [(row["family"], row["sqrt_v"]) for row in rows[::3]]
+        assert cells == [("goe", "0.1"), ("goe", "0.4"), ("orthogonal", "0.1"), ("orthogonal", "0.4")]
+        for i, cell in enumerate(cells):
+            stats = rows[3 * i : 3 * i + 3]
+            assert all((row["family"], row["sqrt_v"]) == cell for row in stats)
+            assert [row["statistic"] for row in stats] == [
+                "divergence_rate", "mean_final_train_loss", "median_steps_to_half_loss"
+            ]
+            assert 0.0 <= float(stats[0]["emp_mean"]) <= 1.0
