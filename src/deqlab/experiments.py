@@ -414,7 +414,8 @@ def run_train_probe(config: ExperimentConfig, parallel_map=map) -> list[ResultRo
 
 def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[ResultRow]:
     """Descend from each seed's (W, v), drawn alike at every sqrt(V); the loss
-    and the steps to half loss are over the runs that did not diverge."""
+    and the steps to half loss are over the runs that did not diverge, and
+    every row's ``diverged`` is the count of runs that did."""
     xs, ys = probe_dataset(config.seed + 1, config.dataset_size, config.n)
     spec = EnsembleSpec(family, config.n, sqrt_v * sqrt_v)
     runs = []
@@ -423,13 +424,15 @@ def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[
         v = seed.child(1).generator().standard_normal(config.n) / math.sqrt(config.n)
         runs.append(descend(sample(spec, seed), v, xs, ys, config.lr, config.steps, NONLINEARITIES[config.phi]))
     alive = [run for run in runs if run is not None]
+    n_diverged = len(runs) - len(alive)
     hits = [hit for _, hit in alive if hit is not None]
     stats = {
-        "divergence_rate": (len(runs) - len(alive)) / len(runs),
+        "divergence_rate": n_diverged / len(runs),
         "mean_final_train_loss": float(np.mean([loss for loss, _ in alive])) if alive else math.inf,
         "median_steps_to_half_loss": float(np.median(hits)) if hits else None,
     }
-    common = dict(experiment="train-probe", family=family.value, v=sqrt_v**2, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds)
+    common = dict(experiment="train-probe", family=family.value, v=sqrt_v**2, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds,
+                  diverged=n_diverged)
     return [ResultRow(statistic=name, emp_mean=value, **common) for name, value in stats.items()]
 
 

@@ -334,6 +334,17 @@ class TestCliRuns:
         rows = _rows(out)
         assert len(rows) == 3 and all(row["n"] == "70" for row in rows)
 
+    def test_train_probe_all_cells_diverged_exits_3(self, tmp_path, capsys):
+        # identity at spectral radius 1.3 fails every forward solve at step 0
+        out = tmp_path / "tp.csv"
+        args = ["train-probe", "--n", "12", "--seeds", "3", "--grid", "1.3:1.3:1", "--phi", "identity",
+                "--steps", "0", "--out", str(out)]
+        assert _run_cli(args) == 3
+        assert "every cell diverged" in capsys.readouterr().err
+        assert all(row["diverged"] == "3" for row in _rows(out))
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert len(manifest["per_cell_diverged"]) == 9 and set(manifest["per_cell_diverged"].values()) == {3}
+
     def test_freeprob_check_small(self, tmp_path):
         out = tmp_path / "fp.csv"
         assert _run_cli(["freeprob-check", "--n", "400", "--seeds", "2", "--out", str(out)]) == 0
