@@ -301,7 +301,7 @@ def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe):
     once it overflows (residual clipped) or settles.
     """
     scales = np.asarray(sqrt_scales, dtype=float)
-    residuals = numerics.fixed_point(
+    _, residuals = numerics.fixed_point(
         lambda h, rows: ((phi.phi(h) + x) @ w_unit.T) * scales[rows, None],
         np.zeros((scales.size, x.shape[0])),
         t_probe,

@@ -43,7 +43,8 @@ def fixed_point(step, x0: np.ndarray, t_max: int, tol: float):
     (``rows`` is None) the result is a :class:`FixedPointResult`.  For a
     stack of rows (k x N) each row stops on its own: ``step`` receives the
     rows still running and their indices ``rows``, and the result is the
-    array of the k final residuals.
+    tuple ``(states, residuals)`` of where each row stopped and its final
+    residual, not a FixedPointResult, whose ``converged`` must be one bool.
     """
     x, residual = x0, math.inf
     sqrt_n = math.sqrt(x.shape[-1])
@@ -57,8 +58,7 @@ def fixed_point(step, x0: np.ndarray, t_max: int, tol: float):
             if residual <= tol:
                 return FixedPointResult(x, t, residual, True)
         return FixedPointResult(x, t_max, residual, False)
-    out = np.full(x.shape[0], math.inf)
-    rows = np.arange(x.shape[0])
+    states, out, rows = np.array(x, dtype=float), np.full(len(x), math.inf), np.arange(len(x))
     for _ in range(t_max):
         x_next = step(x, rows)
         residual = np.linalg.norm(x_next - x, axis=1) / sqrt_n
@@ -67,11 +67,12 @@ def fixed_point(step, x0: np.ndarray, t_max: int, tol: float):
         settled = ~overflow & (residual <= tol)
         out[rows[settled]] = residual[settled]
         keep = ~(overflow | settled)
+        states[rows[~keep]] = x[~keep]
         rows, x, residual = rows[keep], x[keep], residual[keep]
         if rows.size == 0:
             break
-    out[rows] = residual
-    return out
+    states[rows], out[rows] = x, residual
+    return states, out
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The scalar readout ``f = v . z*`` with ``z* = phi(W z*) + x`` is
 differentiated through the fixed point: one adjoint solve
 ``(I - (D W)^T) a = v`` with ``D = diag(phi'(W z*))`` gives the rank-one
-gradient ``(D a) z*^T``.  Plain gradient descent from one draw of (W, v)
-shows whether a matrix family tolerates learning at a given initial scale;
-it measures, it does not assert.
+gradient ``(D a) z*^T``.  A step solves its samples' forward passes as one
+stacked fixed point and their adjoints one LU solve at a time.  Plain gradient
+descent from one draw of (W, v) shows whether a matrix family tolerates
+learning at a given initial scale; it measures, it does not assert.
 """
 
 from __future__ import annotations
@@ -39,15 +40,19 @@ def deq_forward(
     phi: Nonlinearity,
     tol: float = 1e-10,
     t_max: int = 5000,
-) -> numerics.FixedPointResult:
+) -> numerics.FixedPointResult | tuple[np.ndarray, bool]:
     """Fixed point of ``z <- phi(W z) + x`` by direct iteration from x, with
-    ``numerics.fixed_point``.
-
-    Divergence is flagged (converged=False), not raised.
+    ``numerics.fixed_point``: a FixedPointResult for one input x, and
+    ``(states, converged)`` for a (k x N) stack of inputs, whose rows settle
+    on their own and which converges only if every residual is at most tol.
+    Divergence is flagged, not raised.
     """
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    return numerics.fixed_point(lambda z, _: phi.phi(w @ z) + x, x, t_max, tol)
+    if x.ndim == 1:
+        return numerics.fixed_point(lambda z, _: phi.phi(w @ z) + x, x, t_max, tol)
+    states, residuals = numerics.fixed_point(lambda z, rows: phi.phi(z @ w.T) + x[rows], x, t_max, tol)
+    return states, bool(np.all(residuals <= tol))
 
 
 def deq_vjp(
@@ -81,28 +86,19 @@ def deq_vjp(
 
 def _mse_and_grads(w, v, xs, ys, phi):
     """Loss, dL/dW, dL/dv over a batch; None gradients signal solver failure."""
-    n_samples = xs.shape[0]
-    preds = np.empty(n_samples)
-    grad_w = np.zeros_like(w)
-    grad_v = np.zeros_like(v)
-    z_stars = []
-    for i in range(n_samples):
-        fp = deq_forward(w, xs[i], phi)
-        if not fp.converged:
-            return math.inf, None, None
-        z_stars.append(fp.solution)
-        preds[i] = v @ fp.solution
-    errors = preds - ys
+    z_stars, converged = deq_forward(w, xs, phi)
+    if not converged:
+        return math.inf, None, None
+    errors = z_stars @ v - ys
     loss = float(np.mean(errors**2))
-    for i in range(n_samples):
+    weights = 2.0 * errors / xs.shape[0]
+    grad_w = np.zeros_like(w)
+    for weight, x, z_star in zip(weights, xs, z_stars):
         try:
-            grad_w += (2.0 * errors[i] / n_samples) * deq_vjp(
-                w, xs[i], phi, v, z_star=z_stars[i]
-            )
+            grad_w += weight * deq_vjp(w, x, phi, v, z_star=z_star)
         except numerics.SingularMatrixError:
             return loss, None, None
-        grad_v += (2.0 * errors[i] / n_samples) * z_stars[i]
-    return loss, grad_w, grad_v
+    return loss, grad_w, weights @ z_stars
 
 
 def descend(w, v, xs, ys, lr: float, steps: int, phi: Nonlinearity) -> tuple[float, int | None] | None:

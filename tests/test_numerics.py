@@ -51,10 +51,19 @@ class TestFixedPoint:
         got = numerics.fixed_point(recording_step, np.zeros((3, self.n)), 200, 1e-10)
         assert len(seen) == 200
         assert [sum(row in rows for rows in seen) for row in range(3)] == [35, 200, 121]
+        states, residuals = got
         for row in range(3):
             single = numerics.fixed_point(_affine_step(a[row]), np.zeros(self.n), 200, 1e-10)
-            assert got[row] == single.final_residual
-        assert got[0] <= 1e-10 and got[1] == 1.0 and got[2] == math.inf
+            assert got[1][row] == single.final_residual
+            assert np.array_equal(states[row], single.solution)
+        assert residuals[0] <= 1e-10 and residuals[1] == 1.0 and residuals[2] == math.inf
+        # where each row stopped: settled near 2, out of budget at 0 after an even count, overflowed
+        assert np.allclose(states[0], 2.0) and np.all(states[1] == 0.0) and np.all(states[2] > 1e119)
+
+    def test_stacked_zero_budget_keeps_the_start(self):
+        x0 = np.arange(8.0).reshape(2, self.n)
+        states, residuals = numerics.fixed_point(_affine_step(np.array([0.5, 2.0])), x0, 0, 1e-10)
+        assert np.array_equal(states, x0) and states is not x0 and np.all(residuals == math.inf)
 
 
 class TestSolveLinear:

@@ -8,7 +8,7 @@ from deqlab import cli
 from deqlab import train_probe as tp
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.linear_deq import solve_closed_form
-from deqlab.nonlinear_deq import HARD_TANH, IDENTITY
+from deqlab.nonlinear_deq import HARD_TANH, IDENTITY, TANH
 from deqlab.numerics import SingularMatrixError
 
 
@@ -98,6 +98,42 @@ def _draw(family, sqrt_v, dim, rep=0, base_seed=0):
     seed = seed_for(base_seed, family, 11, rep)
     w = sample(EnsembleSpec(family, dim, sqrt_v * sqrt_v), seed)
     return w, seed.child(1).generator().standard_normal(dim) / math.sqrt(dim)
+
+
+def _per_sample_mse_and_grads(w, v, xs, ys, phi):
+    """Reference for ``tp._mse_and_grads``: one forward and one adjoint per sample."""
+    z_stars = []
+    for x in xs:
+        fp = tp.deq_forward(w, x, phi)
+        if not fp.converged:
+            return math.inf, None, None
+        z_stars.append(fp.solution)
+    weights = [2.0 * (v @ z - y) / len(xs) for z, y in zip(z_stars, ys)]
+    grad_w = sum(c * tp.deq_vjp(w, x, phi, v, z_star=z) for c, x, z in zip(weights, xs, z_stars))
+    grad_v = sum(c * z for c, z in zip(weights, z_stars))
+    return float(np.mean([(v @ z - y) ** 2 for z, y in zip(z_stars, ys)])), grad_w, grad_v
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("phi", [HARD_TANH, TANH])
+    @pytest.mark.parametrize("family, sqrt_v", [(Family.RANDOM, 0.3), (Family.ORTHOGONAL, 0.6)])
+    def test_batched_loss_and_grads_match_per_sample(self, phi, family, sqrt_v):
+        xs, ys = tp.probe_dataset(teacher_seed=4, n_samples=15, dim=24)
+        w, v = _draw(family, sqrt_v, 24, rep=1)
+        loss, grad_w, grad_v = tp._mse_and_grads(w, v, xs, ys, phi)
+        want_loss, want_w, want_v = _per_sample_mse_and_grads(w, v, xs, ys, phi)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+        assert np.linalg.norm(grad_w - want_w) <= 1e-12 * np.linalg.norm(want_w)
+        assert np.linalg.norm(grad_v - want_v) <= 1e-12 * np.linalg.norm(want_v)
+
+    def test_one_settled_row_does_not_save_the_batch(self):
+        # identity at spectral radius 1.2: the zero input settles at step one, the others overflow
+        xs, ys = tp.probe_dataset(teacher_seed=1, n_samples=10, dim=24)
+        xs = np.vstack([np.zeros(24), xs])
+        w, v = _draw(Family.ORTHOGONAL, 1.2, 24)
+        assert tp.deq_forward(w, xs[0], IDENTITY).converged
+        assert not tp.deq_forward(w, xs[1], IDENTITY).converged
+        assert tp._mse_and_grads(w, v, xs, np.append(0.0, ys), IDENTITY) == (math.inf, None, None)
 
 
 class TestProbeDataset:
