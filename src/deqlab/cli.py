@@ -6,9 +6,9 @@ config file is also a flag, with dashes for underscores.
 Configs are flat ``key=value`` text files; command-line flags override file
 values.  Every run writes one CSV (UTF-8, header row, '.' decimal, one row
 per cell/statistic) and a JSON manifest carrying the resolved config, code
-version, wall time and per-cell diverged counts.  Identical config and seed
-produce byte-identical CSV at any thread count; everything time-dependent is
-isolated in the manifest.
+version, wall time, per-cell diverged counts and the machine's setup.
+Identical config and seed produce byte-identical CSV at any thread count;
+everything time-dependent is isolated in the manifest.
 
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 all cells failed.
 """
@@ -19,10 +19,14 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .ensembles import Family
@@ -197,15 +201,22 @@ def write_csv(path: Path, rows: list[ResultRow]) -> None:
             writer.writerow(row.as_csv())
 
 
+def _environment() -> dict:
+    """Cores, BLAS build, BLAS thread variables (None if unset) and versions."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "python": ".".join(map(str, sys.version_info[:3]))},
+    }
+
+
 def write_manifest(path: Path, config: ExperimentConfig, rows: list[ResultRow], wall_time: float) -> None:
-    diverged = {}
-    for row in rows:
-        if row.diverged:
-            key = ":".join(
-                str(part)
-                for part in (row.family or "-", row.weight_mode or "-", row.v, row.statistic)
-            )
-            diverged[key] = row.diverged
+    diverged = {
+        ":".join(str(part) for part in (row.family or "-", row.weight_mode or "-", row.v, row.statistic)): row.diverged
+        for row in rows if row.diverged
+    }
     manifest = {
         "experiment": config.experiment,
         "config": config.as_manifest_dict(),
@@ -214,6 +225,7 @@ def write_manifest(path: Path, config: ExperimentConfig, rows: list[ResultRow], 
         "timestamp_unix": time.time(),
         "n_rows": len(rows),
         "per_cell_diverged": diverged,
+        "environment": _environment(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

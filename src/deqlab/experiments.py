@@ -83,14 +83,8 @@ class ResultRow:
     diverged: int | None = None
 
     def as_csv(self) -> list[str]:
-        def fmt(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
-
-        return [fmt(getattr(self, col)) for col in CSV_COLUMNS]
+        # str of a float is its shortest round-trip repr
+        return ["" if getattr(self, col) is None else str(getattr(self, col)) for col in CSV_COLUMNS]
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -431,9 +425,8 @@ def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[
         "mean_final_train_loss": float(np.mean([loss for loss, _ in alive])) if alive else math.inf,
         "median_steps_to_half_loss": float(np.median(hits)) if hits else None,
     }
-    common = dict(experiment="train-probe", family=family.value, v=sqrt_v**2, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds,
-                  diverged=n_diverged)
-    return [ResultRow(statistic=name, emp_mean=value, **common) for name, value in stats.items()]
+    common = dict(family=family.value, v=sqrt_v**2, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds, diverged=n_diverged)
+    return [ResultRow("train-probe", name, emp_mean=value, **common) for name, value in stats.items()]
 
 
 EXPERIMENTS = {

@@ -186,6 +186,20 @@ class TestCliRuns:
             m["config"].pop("out")
         assert manifests[0] == manifests[1]
 
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "m.csv"
+        assert _run_cli(["moments", "--grid", "0.5:0.5:1", "--out", str(out)]) == 0
+        env = json.loads(out.with_suffix(".csv.manifest.json").read_text())["environment"]
+        assert set(env) == {"nproc", "blas", "blas_threads", "versions"}
+        assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1" and env["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert set(env["versions"]) == {"numpy", "scipy", "python"} and all(env["versions"].values())
+        assert "environment" not in out.read_text(encoding="utf-8")
+
     def test_config_error_exit_code(self, capsys):
         assert _run_cli(["fig2", "--seeds", "-1"]) == 1
         assert "config error" in capsys.readouterr().err
