@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -158,9 +159,9 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         if bad:
             errors.append(f"{config.experiment} grid values are deltas in (0, 1]; got {bad}")
     if config.experiment in ("fig2", "fig3", "fig4", "train-probe") and config.grid is not None:
-        bad = [g for g in config.grid if g < 0.0]
+        bad = [g for g in config.grid if not (0.0 <= g and math.isfinite(g * g))]
         if bad:
-            errors.append(f"{config.experiment} grid values are sqrt(V) >= 0; got {bad}")
+            errors.append(f"{config.experiment} grid values are sqrt(V) >= 0 with a finite square; got {bad}")
     reads_estimator = config.experiment == "fig1" or (
         config.experiment == "moments" and config.weight_mode != "untied" and config.seeds > 0
     )
@@ -177,6 +178,8 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         errors.append(f"dataset_size must be >= 1, got {config.dataset_size}")
     if config.steps < 0:
         errors.append(f"steps must be >= 0, got {config.steps}")
+    if not (config.lr > 0.0 and math.isfinite(config.lr)):
+        errors.append(f"lr must be finite and > 0, got {config.lr}")
     if errors:
         raise ConfigError(errors)
     return config

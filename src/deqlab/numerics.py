@@ -61,14 +61,16 @@ def fixed_point(step, x0: np.ndarray, t_max: int, tol: float):
     states, out, rows = np.array(x, dtype=float), np.full(len(x), math.inf), np.arange(len(x))
     for _ in range(t_max):
         x_next = step(x, rows)
-        residual = np.linalg.norm(x_next - x, axis=1) / sqrt_n
+        d = x_next - x  # the norms are bit for bit np.linalg.norm(., axis=1), without its dispatch
+        residual = np.sqrt(np.add.reduce(d * d, axis=1)) / sqrt_n
         x = x_next
-        overflow = ~(np.linalg.norm(x, axis=1) <= _OVERFLOW_NORM)
-        settled = ~overflow & (residual <= tol)
-        out[rows[settled]] = residual[settled]
-        keep = ~(overflow | settled)
-        states[rows[~keep]] = x[~keep]
-        rows, x, residual = rows[keep], x[keep], residual[keep]
+        overflow = ~(np.sqrt(np.add.reduce(x * x, axis=1)) <= _OVERFLOW_NORM)
+        stop = overflow | (residual <= tol)
+        if not stop.any():
+            continue
+        out[rows[stop]] = np.where(overflow, math.inf, residual)[stop]
+        states[rows[stop]] = x[stop]
+        rows, x, residual = rows[~stop], x[~stop], residual[~stop]
         if rows.size == 0:
             break
     states[rows], out[rows] = x, residual
@@ -106,10 +108,8 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 def _lu_factor_checked(a: np.ndarray):
-    """LU with partial pivoting, raising on singular-to-tolerance input."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    """LU with partial pivoting (LAPACK getrf), raising on singular-to-tolerance input."""
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(a)  # an exactly zero pivot (info > 0) fails the test below
     diag = np.abs(np.diag(lu))
     if diag.min() <= a.shape[0] * np.finfo(float).eps * diag.max():
         raise SingularMatrixError("matrix is singular to working precision")
@@ -117,33 +117,37 @@ def _lu_factor_checked(a: np.ndarray):
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` by LU with partial pivoting.
+    """Solve ``A x = b`` by LU with partial pivoting, for one matrix A or a
+    (k x N x N) stack of them sharing b; a stack returns its k solutions as rows.
 
-    Raises :class:`SingularMatrixError` when A is singular to tolerance or the
-    solve cannot reach a residual of ``1e-10 * ||b||`` after one step of
+    Raises :class:`SingularMatrixError` when any A is singular to tolerance or
+    its solve cannot reach a residual of ``1e-10 * ||b||`` after one step of
     iterative refinement.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _require_finite(a, "matrix")
     _require_finite(b, "right-hand side")
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    lu, piv = _lu_factor_checked(a)
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    stack = a.reshape((-1,) + a.shape[-2:])
     b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros_like(b)
-    resid = b - a @ x
-    if np.linalg.norm(resid) > 1e-10 * b_norm:
-        x = x + scipy.linalg.lu_solve((lu, piv), resid, check_finite=False)
-        resid = b - a @ x
+    xs = np.zeros((len(stack),) + b.shape)
+    for i, m in enumerate(stack):
+        lu, piv = _lu_factor_checked(m)
+        if b_norm == 0.0:
+            continue
+        x = scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
+        resid = b - m @ x
         if np.linalg.norm(resid) > 1e-10 * b_norm:
-            raise SingularMatrixError(
-                f"residual {np.linalg.norm(resid) / b_norm:.3e} exceeds 1e-10; matrix is effectively singular"
-            )
-    return x
+            x = x + scipy.linalg.lapack.dgetrs(lu, piv, resid)[0]
+            resid = b - m @ x
+            if np.linalg.norm(resid) > 1e-10 * b_norm:
+                raise SingularMatrixError(
+                    f"residual {np.linalg.norm(resid) / b_norm:.3e} exceeds 1e-10; matrix is effectively singular"
+                )
+        xs[i] = x
+    return xs if a.ndim == 3 else xs[0]
 
 
 def gram_inverse_sq_trace(a: np.ndarray) -> float:
@@ -156,7 +160,7 @@ def gram_inverse_sq_trace(a: np.ndarray) -> float:
     _require_finite(a, "matrix")
     n = a.shape[0]
     lu, piv = _lu_factor_checked(a)
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    inv = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(n))[0]
     gram_inv = inv @ inv.T
     return float(np.sum(gram_inv * gram_inv) / n)
 
@@ -182,8 +186,8 @@ def gram_inverse_sq_trace_hutchinson(
     lu, piv = _lu_factor_checked(a)
     z = rng.integers(0, 2, size=(n, n_probes)) * 2.0 - 1.0
     # B z = A^{-1} (A^{-T} z), one pair of triangular solves per probe batch
-    y = scipy.linalg.lu_solve((lu, piv), z, trans=1, check_finite=False)
-    bz = scipy.linalg.lu_solve((lu, piv), y, check_finite=False)
+    y = scipy.linalg.lapack.dgetrs(lu, piv, z, trans=1)[0]
+    bz = scipy.linalg.lapack.dgetrs(lu, piv, y)[0]
     samples = np.sum(bz * bz, axis=0) / n
     est = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(n_probes))

@@ -4,7 +4,7 @@ The scalar readout ``f = v . z*`` with ``z* = phi(W z*) + x`` is
 differentiated through the fixed point: one adjoint solve
 ``(I - (D W)^T) a = v`` with ``D = diag(phi'(W z*))`` gives the rank-one
 gradient ``(D a) z*^T``.  A step solves its samples' forward passes as one
-stacked fixed point and their adjoints one LU solve at a time.  Plain gradient
+stacked fixed point and their adjoints as one stacked LU solve.  Plain gradient
 descent from one draw of (W, v) shows whether a matrix family tolerates
 learning at a given initial scale; it measures, it does not assert.
 """
@@ -61,6 +61,7 @@ def deq_vjp(
     phi: Nonlinearity,
     v: np.ndarray,
     z_star: np.ndarray | None = None,
+    weights: np.ndarray | float = 1.0,
     tol: float = 1e-12,
 ) -> np.ndarray:
     """Gradient of ``f = v . z*`` with respect to W, via the implicit function
@@ -68,20 +69,25 @@ def deq_vjp(
 
     At the fixed point, ``df = v^T (I - D W)^{-1} D dW z*`` with the gate
     matrix D evaluated at the pre-activations ``W z*``; the returned array is
-    ``(D (I - (D W)^T)^{-1} v) z*^T``.  Raises SingularMatrixError when the
-    adjoint system is at threshold.
+    ``(D (I - (D W)^T)^{-1} v) z*^T``.  For a (k x N) stack of fixed points
+    z_star, the adjoints are one stacked solve and the result is the
+    ``weights``-weighted sum of the k gradients, formed as one product.
+    Raises SingularMatrixError when any adjoint system is at threshold.
     """
     w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if z_star is None:
         fp = deq_forward(w, x, phi, tol=tol, t_max=20_000)
         if not fp.converged:
             raise numerics.SingularMatrixError("forward fixed point did not converge")
         z_star = fp.solution
-    gates = np.asarray(phi.dphi(w @ z_star), dtype=float)
-    adjoint = numerics.solve_linear(np.eye(w.shape[0]) - (gates[:, None] * w).T, v)
-    return np.outer(gates * adjoint, z_star)
+    z = np.atleast_2d(z_star)
+    gates = np.asarray(phi.dphi(w @ z.T), dtype=float).T
+    adjoint = gates[:, None, :] * -w.T  # the stack of I - (D_k W)^T, built in place
+    diagonal = np.arange(len(v))
+    adjoint[:, diagonal, diagonal] += 1.0
+    gates *= numerics.solve_linear(adjoint, v) * np.reshape(weights, (-1, 1))
+    return gates.T @ z
 
 
 def _mse_and_grads(w, v, xs, ys, phi):
@@ -92,12 +98,10 @@ def _mse_and_grads(w, v, xs, ys, phi):
     errors = z_stars @ v - ys
     loss = float(np.mean(errors**2))
     weights = 2.0 * errors / xs.shape[0]
-    grad_w = np.zeros_like(w)
-    for weight, x, z_star in zip(weights, xs, z_stars):
-        try:
-            grad_w += weight * deq_vjp(w, x, phi, v, z_star=z_star)
-        except numerics.SingularMatrixError:
-            return loss, None, None
+    try:
+        grad_w = deq_vjp(w, xs, phi, v, z_star=z_stars, weights=weights)
+    except numerics.SingularMatrixError:
+        return loss, None, None
     return loss, grad_w, weights @ z_stars
 
 

@@ -271,6 +271,24 @@ class TestCliRuns:
         assert f"config error: {experiment} grid values are sqrt(V) >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "fig4", "train-probe"])
+    @pytest.mark.parametrize("grid", ["nan:nan:1", "inf:inf:1", "1e160:1e160:1"])
+    def test_nonfinite_sqrt_v_grid_rejected(self, experiment, grid, tmp_path, capsys):
+        # 1e160 is finite, but V = 1e320 is not
+        out = tmp_path / "big.csv"
+        args = [experiment, "--grid", grid, "--n", "8", "--seeds", "1", "--families", "random"]
+        assert _run_cli([*args, "--out", str(out)]) == 1
+        assert f"config error: {experiment} grid values are sqrt(V) >= 0 with a finite square" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "-1", "0"])
+    def test_train_probe_bad_lr_rejected(self, lr, tmp_path, capsys):
+        out = tmp_path / "lr.csv"
+        args = ["train-probe", "--n", "8", "--seeds", "1", "--grid", "0.1:0.1:1", f"--lr={lr}"]
+        assert _run_cli([*args, "--out", str(out)]) == 1
+        assert "config error: lr must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -94,6 +94,34 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             numerics.solve_linear(a, np.ones(2))
 
+    @staticmethod
+    def _stack(k=4, n=40):
+        """I - W for k draws at scales up to sqrt(V) = 0.9."""
+        return np.stack([
+            np.eye(n) - sample(EnsembleSpec(Family.RANDOM, n, (0.3 * (i + 1)) ** 2), seed_for(5, Family.RANDOM, i, 0))
+            for i in range(k)
+        ])
+
+    def test_stack_rows_match_single_calls(self):
+        a = self._stack()
+        b = seed_for(5, Family.RANDOM, 0, 1).generator().standard_normal(a.shape[1])
+        got = numerics.solve_linear(a, b)
+        assert got.shape == (len(a), a.shape[1])
+        for row, m in zip(got, a):
+            assert np.array_equal(row, numerics.solve_linear(m, b))
+
+    def test_stack_with_a_singular_member_raises(self):
+        a = self._stack()
+        a[2] = np.ones_like(a[2])
+        for b in (np.ones(a.shape[1]), np.zeros(a.shape[1])):
+            with pytest.raises(numerics.SingularMatrixError):
+                numerics.solve_linear(a, b)
+
+    def test_stack_zero_rhs_gives_zeros(self):
+        a = self._stack()
+        got = numerics.solve_linear(a, np.zeros(a.shape[1]))
+        assert got.shape == (len(a), a.shape[1]) and np.all(got == 0.0)
+
 
 class TestGramInverseSqTrace:
     def test_identity(self):

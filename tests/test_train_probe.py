@@ -101,7 +101,8 @@ def _draw(family, sqrt_v, dim, rep=0, base_seed=0):
 
 
 def _per_sample_mse_and_grads(w, v, xs, ys, phi):
-    """Reference for ``tp._mse_and_grads``: one forward and one adjoint per sample."""
+    """Reference for ``tp._mse_and_grads``: one forward and one adjoint per
+    sample, the adjoint by ``np.linalg.solve`` of ``(I - (D W)^T) a = v``."""
     z_stars = []
     for x in xs:
         fp = tp.deq_forward(w, x, phi)
@@ -109,14 +110,17 @@ def _per_sample_mse_and_grads(w, v, xs, ys, phi):
             return math.inf, None, None
         z_stars.append(fp.solution)
     weights = [2.0 * (v @ z - y) / len(xs) for z, y in zip(z_stars, ys)]
-    grad_w = sum(c * tp.deq_vjp(w, x, phi, v, z_star=z) for c, x, z in zip(weights, xs, z_stars))
+    grad_w = np.zeros_like(w)
+    for c, z in zip(weights, z_stars):
+        gates = phi.dphi(w @ z)
+        grad_w += c * np.outer(gates * np.linalg.solve(np.eye(len(v)) - (gates[:, None] * w).T, v), z)
     grad_v = sum(c * z for c, z in zip(weights, z_stars))
     return float(np.mean([(v @ z - y) ** 2 for z, y in zip(z_stars, ys)])), grad_w, grad_v
 
 
 class TestStackedForward:
     @pytest.mark.parametrize("phi", [HARD_TANH, TANH])
-    @pytest.mark.parametrize("family, sqrt_v", [(Family.RANDOM, 0.3), (Family.ORTHOGONAL, 0.6)])
+    @pytest.mark.parametrize("family, sqrt_v", [(Family.RANDOM, 0.3), (Family.ORTHOGONAL, 0.6), (Family.RANDOM, 0.9)])
     def test_batched_loss_and_grads_match_per_sample(self, phi, family, sqrt_v):
         xs, ys = tp.probe_dataset(teacher_seed=4, n_samples=15, dim=24)
         w, v = _draw(family, sqrt_v, 24, rep=1)
@@ -125,6 +129,11 @@ class TestStackedForward:
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
         assert np.linalg.norm(grad_w - want_w) <= 1e-12 * np.linalg.norm(want_w)
         assert np.linalg.norm(grad_v - want_v) <= 1e-12 * np.linalg.norm(want_v)
+        # the stacked adjoint against one single-vector deq_vjp call per sample
+        z_stars, _ = tp.deq_forward(w, xs, phi)
+        weights = 2.0 * (z_stars @ v - ys) / len(ys)
+        single = sum(c * tp.deq_vjp(w, x, phi, v, z_star=z) for c, x, z in zip(weights, xs, z_stars))
+        assert np.linalg.norm(grad_w - single) <= 1e-12 * np.linalg.norm(single)
 
     def test_one_settled_row_does_not_save_the_batch(self):
         # identity at spectral radius 1.2: the zero input settles at step one, the others overflow
@@ -134,6 +143,35 @@ class TestStackedForward:
         assert tp.deq_forward(w, xs[0], IDENTITY).converged
         assert not tp.deq_forward(w, xs[1], IDENTITY).converged
         assert tp._mse_and_grads(w, v, xs, np.append(0.0, ys), IDENTITY) == (math.inf, None, None)
+
+
+class TestAdjointAtThreshold:
+    """D W with an eigenvalue of 1 - 1e-15 for one sample only: hard-tanh's
+    first gate stays open where x_0 = 0 and shuts where x_0 = 5.  That
+    sample's adjoint matrix has a pivot of 1e-15, singular to the pivot test
+    (below N eps times the largest pivot, 1), though not exactly singular."""
+
+    n = 6
+    w = np.diag([1.0 - 1e-15] + [0.5] * (n - 1))
+    xs = np.full((3, n), 5.0)
+    xs[1, 0] = 0.0
+    v = np.ones(n) / math.sqrt(n)
+
+    def test_one_singular_sample_fails_the_stacked_adjoint(self):
+        z_stars, converged = tp.deq_forward(self.w, self.xs, HARD_TANH)
+        assert converged
+        for k in (0, 2):
+            assert np.all(np.isfinite(tp.deq_vjp(self.w, self.xs[k], HARD_TANH, self.v, z_star=z_stars[k])))
+        with pytest.raises(SingularMatrixError):
+            tp.deq_vjp(self.w, self.xs[1], HARD_TANH, self.v, z_star=z_stars[1])
+        with pytest.raises(SingularMatrixError):
+            tp.deq_vjp(self.w, self.xs, HARD_TANH, self.v, z_star=z_stars, weights=np.ones(3))
+
+    def test_adjoint_at_threshold_ends_the_descent(self):
+        ys = np.zeros(3)
+        loss, grad_w, grad_v = tp._mse_and_grads(self.w, self.v, self.xs, ys, HARD_TANH)
+        assert math.isfinite(loss) and grad_w is None and grad_v is None
+        assert tp.descend(self.w, self.v, self.xs, ys, lr=0.05, steps=3, phi=HARD_TANH) is None
 
 
 class TestProbeDataset:
