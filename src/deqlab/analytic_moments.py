@@ -10,13 +10,11 @@ Conventions used throughout:
   of an output ``z = M x`` with unit-variance Gaussian input is
   ``2 * sigma_x^4 * T / N``.
 
-All functions are pure and cheap; series are summed term by term and
-cross-checked against their closed forms.
+All functions are pure and cheap.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 
@@ -72,37 +70,6 @@ def catalan_generating(x: float) -> float:
     return (1.0 - math.sqrt(1.0 - 4.0 * x)) / (2.0 * x)
 
 
-_SERIES_CAP = 200_000
-
-
-def _sum_series(terms, v: float) -> float:
-    """Sum the series at scale v until a term drops below 1e-14 of the total."""
-    total = 0.0
-    for i, t in zip(range(_SERIES_CAP), terms):
-        total += t
-        if i > 4 and abs(t) < 1e-14 * max(abs(total), 1e-300):
-            return total
-    raise RuntimeError(f"series did not converge within {_SERIES_CAP} terms at scale {v}")
-
-
-def _goe_gram_trace_series(v: float) -> float:
-    """``sum_i (2i+1) C_i V^i`` summed term by term.
-
-    ``C_i V^i`` is carried as one float through the ratio
-    ``C_{i+1} / C_i = 2 (2i+1) / (i+2)``: the exact integer C_i no longer
-    converts to a float past i ~ 510, and V^i alone underflows, while near
-    threshold the series needs hundreds of terms (about 630 at V = 0.2375).
-    """
-
-    def terms():
-        c = 1.0
-        for i in itertools.count():
-            yield (2 * i + 1) * c
-            c *= 2.0 * (2 * i + 1) / (i + 2) * v
-
-    return _sum_series(terms(), v)
-
-
 def gram_trace_factor_theory(family: Family, weight_mode: WeightMode, v: float) -> float:
     """``E tr[(I-W)^{-T} (I-W)^{-1}] / N`` (equals variance factor + 1)."""
     return variance_factor_theory(family, weight_mode, v) + 1.0
@@ -115,7 +82,8 @@ def variance_factor_theory(family: Family, weight_mode: WeightMode, v: float) ->
     and in the tied case for the random and orthogonal families.  Tied GOE is
     the Catalan series ``sum_{i>=1} (2i+1) C_i V^i``, evaluated in closed form
     as ``2 / sqrt(1 - 4V) - f_c(V) - 1`` with ``f_c`` the Catalan generating
-    function; the explicit partial sums are cross-checked internally.
+    function (``tests/test_analytic_moments.py`` sums the series term by
+    term against it).
     """
     family, weight_mode = Family(family), WeightMode(weight_mode)
     check_subcritical(family, weight_mode, v)
@@ -123,13 +91,7 @@ def variance_factor_theory(family: Family, weight_mode: WeightMode, v: float) ->
         return 0.0
     if weight_mode is WeightMode.UNTIED or family is not Family.GOE:
         return v / (1.0 - v)
-    closed = 2.0 / math.sqrt(1.0 - 4.0 * v) - catalan_generating(v) - 1.0
-    series = _goe_gram_trace_series(v) - 1.0
-    if abs(series - closed) > 1e-10 * max(1.0, abs(closed)):
-        raise AssertionError(
-            f"GOE variance-factor series {series!r} disagrees with closed form {closed!r}"
-        )
-    return closed
+    return 2.0 / math.sqrt(1.0 - 4.0 * v) - catalan_generating(v) - 1.0
 
 
 def length_variance_theory(family: Family, weight_mode: WeightMode, v: float) -> float:

@@ -158,6 +158,10 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         bad = [g for g in config.grid if not 0.0 < g <= 1.0]
         if bad:
             errors.append(f"{config.experiment} grid values are deltas in (0, 1]; got {bad}")
+        # V = V_c (1 - delta) is V_c itself once 1 - delta rounds to 1
+        at_critical = [g for g in config.grid if 0.0 < g and 1.0 - g == 1.0]
+        if at_critical:
+            errors.append(f"{config.experiment} deltas {at_critical} map onto the critical scale V_c (1 - delta rounds to 1)")
     if config.experiment in ("fig2", "fig3", "fig4", "train-probe") and config.grid is not None:
         bad = [g for g in config.grid if not (0.0 <= g and math.isfinite(g * g))]
         if bad:

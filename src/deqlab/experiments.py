@@ -372,6 +372,7 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
     w = sample(EnsembleSpec(Family.GOE, n, v_j), seed)
     gates = (seed.child(1).generator().random(n) < p).astype(float)
     root = np.sqrt(gates)
+    # the full matrix, not radius_empirical's active block: the atom is the count of zero eigenvalues
     eigs = numerics.sym_spectrum(root[:, None] * w * root[None, :])
     zero = np.abs(eigs) < 1e-10
     atom_mass = float(np.mean(zero))

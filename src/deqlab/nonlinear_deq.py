@@ -208,23 +208,34 @@ def ginibre_edge_factor(m: float) -> float:
 
 
 def radius_empirical(w: np.ndarray, h_star: np.ndarray, phi: Nonlinearity) -> float:
-    """Spectral radius of ``W diag(phi'(h*))``.
+    """Spectral radius of ``W diag(phi'(h*))``, measured on its active block.
 
-    Symmetric W: same spectrum as ``diag(sqrt(phi')) W diag(sqrt(phi'))``,
-    handled by the symmetric eigensolver (requires phi' >= 0).  Otherwise the
-    normalized-squaring radius estimator.
+    Let A be the indices where ``g = phi'(h*)`` is nonzero, m = |A|.  With A
+    put first, ``W diag(g)`` is block lower triangular,
+    ``[[W_AA diag(g_A), 0], [W_BA diag(g_A), 0]]``, so its nonzero spectrum
+    is that of the m x m block ``W_AA diag(g_A)``.  A 0/1 gate gives m ~ pN;
+    tanh's gates vanish only past overflow, so there m = N and the result is
+    that of the full matrix.
+
+    Symmetric W (tested on the full matrix): same spectrum as
+    ``diag(sqrt(g_A)) W_AA diag(sqrt(g_A))``, handled by the symmetric
+    eigensolver (requires phi' >= 0 on every index).  Otherwise the
+    normalized-squaring radius estimator on the block.  With every gate
+    closed the radius is 0.
     """
     w = np.asarray(w, dtype=float)
     gates = np.asarray(phi.dphi(h_star), dtype=float)
+    active = np.flatnonzero(gates)
+    block = w[np.ix_(active, active)]  # a copy of W_AA
     scale = max(1.0, float(np.abs(w).max()))
     if float(np.abs(w - w.T).max()) <= 1e-12 * scale:
         if np.any(gates < 0):
             raise ValueError("symmetric path requires nonnegative phi' entries")
-        root = np.sqrt(gates)
-        sym = root[:, None] * w * root[None, :]
-        eigs = numerics.sym_spectrum(sym)
-        return float(np.max(np.abs(eigs)))
-    return numerics.spectral_radius_estimate(w * gates[None, :])
+        root = np.sqrt(gates[active])
+        eigs = numerics.sym_spectrum(root[:, None] * block * root[None, :])
+        return float(np.abs(eigs).max(initial=0.0))
+    block *= gates[active]
+    return numerics.spectral_radius_estimate(block)
 
 
 def predict_critical_v(

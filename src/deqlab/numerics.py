@@ -195,14 +195,14 @@ def gram_inverse_sq_trace_hutchinson(
 
 
 def sym_spectrum(s: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
+    """All eigenvalues of a symmetric matrix, ascending; none for a 0 x 0 one.
 
     Rejects input whose asymmetry exceeds ``1e-12 * max(1, max|S|)``.
     """
     s = np.asarray(s, dtype=float)
     _require_finite(s, "matrix")
-    scale = max(1.0, float(np.abs(s).max()) if s.size else 1.0)
-    if float(np.abs(s - s.T).max()) > 1e-12 * scale:
+    scale = float(np.abs(s).max(initial=1.0))
+    if float(np.abs(s - s.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to tolerance")
     return np.linalg.eigvalsh(s)
 

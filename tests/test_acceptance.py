@@ -228,6 +228,7 @@ def test_criterion_08_gated_spectrum():
     w = sample(EnsembleSpec(Family.GOE, n, v), seed)
     gates = (seed.child(1).generator().random(n) < p).astype(float)
     root = np.sqrt(gates)
+    # the full matrix, not the active block, which would hold the atom by construction
     eigs = numerics.sym_spectrum(root[:, None] * w * root[None, :])
     zero = np.abs(eigs) < 1e-10
     atom_mass = float(np.mean(zero))

@@ -18,6 +18,37 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+_SERIES_CAP = 200_000
+
+
+def _sum_series(terms, v: float) -> float:
+    """Sum the series at scale v until a term drops below 1e-14 of the total."""
+    total = 0.0
+    for i, t in zip(range(_SERIES_CAP), terms):
+        total += t
+        if i > 4 and abs(t) < 1e-14 * max(abs(total), 1e-300):
+            return total
+    raise RuntimeError(f"series did not converge within {_SERIES_CAP} terms at scale {v}")
+
+
+def _goe_gram_trace_series(v: float) -> float:
+    """``sum_i (2i+1) C_i V^i`` summed term by term.
+
+    ``C_i V^i`` is carried as one float through the ratio
+    ``C_{i+1} / C_i = 2 (2i+1) / (i+2)``: the exact integer C_i no longer
+    converts to a float past i ~ 510, and V^i alone underflows, while near
+    threshold the series needs hundreds of terms (about 630 at V = 0.2375).
+    """
+
+    def terms():
+        c = 1.0
+        for i in itertools.count():
+            yield (2 * i + 1) * c
+            c *= 2.0 * (2 * i + 1) / (i + 2) * v
+
+    return _sum_series(terms(), v)
+
+
 def tied_orthogonal_series(v: float) -> float:
     """``sum_i (i+1)^2 V^i``, the series route to the tied-orthogonal T(V)."""
 
@@ -27,7 +58,7 @@ def tied_orthogonal_series(v: float) -> float:
             yield (i + 1) ** 2 * vi
             vi *= v
 
-    return am._sum_series(terms(), v)
+    return _sum_series(terms(), v)
 
 
 def test_catalan_numbers():
@@ -81,7 +112,14 @@ class TestVarianceFactor:
         v = 0.2375
         closed = 2.0 / math.sqrt(1.0 - 4.0 * v) - am.catalan_generating(v) - 1.0
         assert am.variance_factor_theory(Family.GOE, TIED, v) == closed
-        assert am._goe_gram_trace_series(v) - 1.0 == pytest.approx(closed, rel=1e-10)
+        assert _goe_gram_trace_series(v) - 1.0 == pytest.approx(closed, rel=1e-10)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1, 0.22, 0.5, 0.9, 1.0])
+    def test_goe_tied_series_matches_closed_form(self, delta):
+        # the check variance_factor_theory used to run on every tied-GOE call
+        v = am.delta_to_scale(Family.GOE, TIED, delta)
+        closed = am.variance_factor_theory(Family.GOE, TIED, v)
+        assert abs(_goe_gram_trace_series(v) - 1.0 - closed) <= 1e-10 * max(1.0, abs(closed))
 
     def test_beyond_critical_raises_with_value(self):
         with pytest.raises(am.CriticalScaleError) as err:

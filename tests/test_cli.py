@@ -281,6 +281,15 @@ class TestCliRuns:
         assert f"config error: {experiment} grid values are sqrt(V) >= 0 with a finite square" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["fig1", "moments"])
+    def test_delta_at_critical_scale_rejected(self, experiment, tmp_path, capsys):
+        # 1 - 1e-300 rounds to 1, so delta_to_scale would return V_c itself
+        out = tmp_path / "vc.csv"
+        args = [experiment, "--grid", "1e-300:1e-300:1", "--n", "8", "--seeds", "0" if experiment == "moments" else "1"]
+        assert _run_cli([*args, "--out", str(out)]) == 1
+        assert f"config error: {experiment} deltas [1e-300] map onto the critical scale V_c" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "-1", "0"])
     def test_train_probe_bad_lr_rejected(self, lr, tmp_path, capsys):
         out = tmp_path / "lr.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from deqlab import nonlinear_deq as nl
+from deqlab import numerics
 from deqlab.numerics import summarize
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.nonlinear_deq import HARD_TANH, IDENTITY, TANH
@@ -166,9 +167,10 @@ class TestRadiusEmpirical:
 
     def test_zero_gates(self):
         n = 50
-        w = sample(EnsembleSpec(Family.RANDOM, n, 0.5), seed_for(4, Family.RANDOM, 0, 0))
         h_far = 10.0 * np.ones(n)  # saturates the gate everywhere
-        assert nl.radius_empirical(w, h_far, HARD_TANH) == 0.0
+        for family in (Family.RANDOM, Family.GOE):  # the estimator's and the eigensolver's path
+            w = sample(EnsembleSpec(family, n, 0.5), seed_for(4, family, 0, 0))
+            assert nl.radius_empirical(w, h_far, HARD_TANH) == 0.0
 
     def test_goe_hardtanh_matches_theory_at_small_scale(self):
         n, sq = 1000, 0.2
@@ -180,6 +182,46 @@ class TestRadiusEmpirical:
         theory = nl.radius_theory(Family.GOE, sq * sq, HARD_TANH, state.sigma_h_sq)
         emp = nl.radius_empirical(w, res.solution, HARD_TANH)
         assert emp == pytest.approx(theory, rel=0.05)
+
+    @staticmethod
+    def _gated_input(n, seed):
+        # hard-tanh pre-activations with about 40% of the gates closed (|h| >= 1)
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(-0.9, 0.9, n)
+        h[rng.random(n) < 0.4] = 2.0
+        return h
+
+    @pytest.mark.parametrize("family", [Family.RANDOM, Family.ORTHOGONAL])
+    def test_gated_block_matches_full_eigenvalues(self, family):
+        n = 300
+        w = sample(EnsembleSpec(family, n, 0.81), seed_for(7, family, 0, 0))
+        h = self._gated_input(n, 11)
+        gates = HARD_TANH.dphi(h)
+        assert 0.3 < 1.0 - gates.mean() < 0.5
+        full = float(np.abs(np.linalg.eigvals(w * gates[None, :])).max())
+        assert nl.radius_empirical(w, h, HARD_TANH) == pytest.approx(full, rel=1e-3)
+
+    def test_gated_goe_block_matches_full_eigenvalues(self):
+        n = 300
+        w = sample(EnsembleSpec(Family.GOE, n, 0.09), seed_for(8, Family.GOE, 0, 0))
+        h = self._gated_input(n, 12)
+        gates = HARD_TANH.dphi(h)
+        full = float(np.abs(np.linalg.eigvals(w * gates[None, :])).max())
+        assert abs(nl.radius_empirical(w, h, HARD_TANH) - full) <= 1e-12
+
+    @pytest.mark.parametrize("family", [Family.RANDOM, Family.GOE])
+    def test_tanh_without_zero_gates_matches_full_matrix_bit_for_bit(self, family):
+        n = 200
+        w = sample(EnsembleSpec(family, n, 0.25), seed_for(9, family, 0, 0))
+        h = np.random.default_rng(13).standard_normal(n) * 3.0
+        gates = TANH.dphi(h)
+        assert np.all(gates > 0.0)
+        if family is Family.GOE:
+            root = np.sqrt(gates)
+            full = float(np.max(np.abs(numerics.sym_spectrum(root[:, None] * w * root[None, :]))))
+        else:
+            full = numerics.spectral_radius_estimate(w * gates[None, :])
+        assert nl.radius_empirical(w, h, TANH) == full
 
     def test_negative_gates_rejected_on_symmetric_path(self):
         backwards = nl.Nonlinearity("backwards", lambda h: -h, lambda h: -np.ones_like(np.asarray(h, dtype=float)))

@@ -160,6 +160,11 @@ class TestSymSpectrum:
     def test_zero(self):
         assert np.allclose(numerics.sym_spectrum(np.zeros((5, 5))), 0.0)
 
+    def test_empty_matrix_has_no_eigenvalues(self):
+        eigs = numerics.sym_spectrum(np.zeros((0, 0)))
+        assert eigs.shape == (0,)
+        assert numerics.spectral_radius_estimate(np.zeros((0, 0))) == 0.0
+
     def test_goe_semicircle_ks(self):
         n, v = 2000, 1.0
         w = sample(EnsembleSpec(Family.GOE, n, v), seed_for(3, Family.GOE, 0, 0))
