@@ -13,6 +13,8 @@ from enum import Enum
 
 import numpy as np
 
+from .numerics import SingularMatrixError
+
 
 class Family(str, Enum):
     """Weight-matrix family.
@@ -79,6 +81,22 @@ class SeedDerivation:
 def seed_for(base_seed: int, family: Family, *labels: int) -> SeedDerivation:
     """Derivation tagged with the family code followed by caller labels."""
     return SeedDerivation(base_seed, (FAMILY_CODE[Family(family)],) + tuple(int(v) for v in labels))
+
+
+def over_seeds(measure, base_seed: int, family: Family, label: int, n_seeds: int) -> tuple[list, int]:
+    """One Monte-Carlo cell: ``measure(seed_for(base_seed, family, label, rep))``
+    for each rep below n_seeds.  Returns the values in replicate order and the
+    count of failed seeds, those whose measure returned None or raised
+    SingularMatrixError; their values are left out."""
+    values = []
+    for rep in range(n_seeds):
+        try:
+            value = measure(seed_for(base_seed, family, label, rep))
+        except SingularMatrixError:
+            value = None
+        if value is not None:
+            values.append(value)
+    return values, n_seeds - len(values)
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,7 @@ from .analytic_moments import (
     length_variance_theory,
     variance_factor_theory,
 )
-from .ensembles import EnsembleSpec, Family, sample, seed_for
+from .ensembles import EnsembleSpec, Family, over_seeds, sample, seed_for
 from .linear_deq import estimate_length_variance, estimate_moments
 from .nonlinear_deq import (
     NONLINEARITIES,
@@ -166,8 +166,8 @@ def run_sweep(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
 
 
 def _emp_columns(values) -> dict:
-    """The ``emp_*`` columns of a cell's per-seed values."""
-    return {f"emp_{name}": value for name, value in asdict(numerics.summarize(values)).items()}
+    """The ``emp_*`` columns of a cell's per-seed values; empty without any."""
+    return {f"emp_{name}": value for name, value in asdict(numerics.summarize(values)).items()} if len(values) else {}
 
 
 def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delta: float) -> ResultRow:
@@ -200,8 +200,8 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
     """fig2 and fig3: per seed, draw W and x and solve for h*.
 
     fig2 keeps ``|h*|^2 / N`` against the self-consistent variance; fig3 the
-    spectral radius of ``W diag(phi'(h*))`` against its prediction.
-    """
+    spectral radius of ``W diag(phi'(h*))`` against its prediction.  Seeds
+    that do not settle within 1000 steps fail."""
     phi = NONLINEARITIES[config.phi]
     v = sqrt_v * sqrt_v
     sigma_h_sq = sigma_h_selfconsistent(v, phi).sigma_h_sq
@@ -210,17 +210,17 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
     else:
         statistic, theory = "spectral_radius", radius_theory(family, v, phi, sigma_h_sq)
     spec = EnsembleSpec(family, config.n, v)
-    values = []
-    n_diverged = 0
-    for rep in range(config.seeds):
-        seed = seed_for(config.seed, family, gi, rep)
+
+    def measure(seed) -> float | None:
         w = sample(spec, seed)
         x = seed.child(1).generator().standard_normal(config.n) * math.sqrt(SIGMA_X_SQ)
         fp = iterate_h(w, x, phi, t_max=1000, tol=1e-9)
         if not fp.converged:
-            n_diverged += 1
+            return None
         h = fp.solution
-        values.append(float(h @ h) / config.n if config.experiment == "fig2" else radius_empirical(w, h, phi))
+        return float(h @ h) / config.n if config.experiment == "fig2" else radius_empirical(w, h, phi)
+
+    values, n_diverged = over_seeds(measure, config.seed, family, gi, config.seeds)
     return ResultRow(
         experiment=config.experiment,
         statistic=statistic,
@@ -349,16 +349,15 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
     rows.append(row("cubic_m2_at_half", 16.0, float(m.coefficient(2)), v=0.5))
     v_mc = 0.25
     m_mc = freeprob.random_gram_moment_series(Fraction(1, 4), 3)
-    mc_seeds = max(2, min(config.seeds, 8))
     spec = EnsembleSpec(Family.RANDOM, n, v_mc)
-    vals2, vals3 = [], []
-    for rep in range(mc_seeds):
-        w = sample(spec, seed_for(config.seed, Family.RANDOM, 21, rep))
-        sv = np.linalg.svd(np.eye(n) - w, compute_uv=False)
-        vals2.append(float(np.mean(sv**-4.0)))
-        vals3.append(float(np.mean(sv**-6.0)))
-    rows.append(row("cubic_m2_vs_mc", float(m_mc.coefficient(2)), float(np.mean(vals2)), v=v_mc, n=n, seeds=mc_seeds))
-    rows.append(row("cubic_m3_vs_mc", float(m_mc.coefficient(3)), float(np.mean(vals3)), v=v_mc, n=n, seeds=mc_seeds))
+
+    def inverse_singular_moments(seed) -> tuple[float, float]:
+        sv = np.linalg.svd(np.eye(n) - sample(spec, seed), compute_uv=False)
+        return float(np.mean(sv**-4.0)), float(np.mean(sv**-6.0))
+
+    mc, _ = over_seeds(inverse_singular_moments, config.seed, Family.RANDOM, 21, config.seeds)
+    for k, values in zip((2, 3), zip(*mc)):
+        rows.append(row(f"cubic_m{k}_vs_mc", float(m_mc.coefficient(k)), float(np.mean(values)), v=v_mc, n=n, seeds=config.seeds))
 
     # closed-form second moment against the length-variance formula on a grid
     grid = np.linspace(0.01, 0.24, 20)
@@ -413,16 +412,15 @@ def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[
     every row's ``diverged`` is the count of runs that did."""
     xs, ys = probe_dataset(config.seed + 1, config.dataset_size, config.n)
     spec = EnsembleSpec(family, config.n, sqrt_v * sqrt_v)
-    runs = []
-    for rep in range(config.seeds):
-        seed = seed_for(config.seed, family, 11, rep)
+
+    def measure(seed):
         v = seed.child(1).generator().standard_normal(config.n) / math.sqrt(config.n)
-        runs.append(descend(sample(spec, seed), v, xs, ys, config.lr, config.steps, NONLINEARITIES[config.phi]))
-    alive = [run for run in runs if run is not None]
-    n_diverged = len(runs) - len(alive)
+        return descend(sample(spec, seed), v, xs, ys, config.lr, config.steps, NONLINEARITIES[config.phi])
+
+    alive, n_diverged = over_seeds(measure, config.seed, family, 11, config.seeds)
     hits = [hit for _, hit in alive if hit is not None]
     stats = {
-        "divergence_rate": n_diverged / len(runs),
+        "divergence_rate": n_diverged / config.seeds,
         "mean_final_train_loss": float(np.mean([loss for loss, _ in alive])) if alive else math.inf,
         "median_steps_to_half_loss": float(np.median(hits)) if hits else None,
     }

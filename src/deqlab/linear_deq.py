@@ -4,9 +4,9 @@ estimators for every statistic the closed forms predict.
 The fixed point of ``z = W z + x`` is ``z* = (I - W)^{-1} x``; statistics are
 averaged over matrix seeds with streams derived from
 (base_seed, family, grid label, replicate), so sweeps are reproducible and
-parallelizable.  Seeds whose matrix is singular to tolerance or whose
-iteration overflows are counted as diverged, never fatal: near threshold,
-occasional divergence is the phenomenon under study.
+parallelizable.  A seed whose matrix is singular to tolerance or whose
+iteration overflows is left out and counted as diverged (``over_seeds``), even
+when every seed fails: near threshold, divergence is the phenomenon under study.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .analytic_moments import WeightMode, check_subcritical
-from .ensembles import EnsembleSpec, SeedDerivation, sample, seed_for
+from .ensembles import EnsembleSpec, SeedDerivation, over_seeds, sample
 
 
 def solve_closed_form(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -83,14 +83,14 @@ def estimate_moments(
     spec: EnsembleSpec, mode: WeightMode, n_seeds: int, base_seed: int = 0, grid_label: int = 0
 ) -> tuple[list[float], int]:
     """Monte-Carlo variance factor ``N Var[z*_i] / (x.x)`` over matrix seeds,
-    for the all-ones input x; returns the per-seed values and the count of
-    diverged seeds.
+    for the all-ones input x; returns the values and the failed-seed count of
+    ``over_seeds``.
 
     Uses the identity ``N Var[z*_i] = E[z*.z*] - x.x`` (mean is x), so each
     seed contributes the self-averaging statistic ``(z*.z* - x.x)/(x.x)``.
-    Untied mode propagates to the truncation depth instead of solving.
-    Singular or overflowing seeds are excluded and counted.  A scale at or
-    beyond the critical one raises CriticalScaleError before any draw.
+    Untied mode propagates to the truncation depth instead of solving.  A
+    seed fails when its matrix is singular or its iterate overflows.  A scale
+    at or beyond the critical one raises CriticalScaleError before any draw.
     """
     if n_seeds < 2:
         raise ValueError("need at least 2 seeds")
@@ -99,23 +99,15 @@ def estimate_moments(
     x = np.ones(spec.dim)
     xx = float(x @ x)
     t_stop = untied_truncation_depth(spec.scale) if mode is WeightMode.UNTIED else 0
-    values: list[float] = []
-    n_diverged = 0
-    for rep in range(n_seeds):
-        seed = seed_for(base_seed, spec.family, grid_label, rep)
-        try:
-            if mode is WeightMode.TIED:
-                z = solve_closed_form(sample(spec, seed), x)
-            else:
-                z = iterate_untied(spec, x, t_stop, seed)
-            if not np.all(np.isfinite(z)):
-                raise numerics.SingularMatrixError("overflow")
-            values.append((float(z @ z) - xx) / xx)
-        except numerics.SingularMatrixError:
-            n_diverged += 1
-    if not values:
-        raise numerics.SingularMatrixError("all seeds diverged")
-    return values, n_diverged
+
+    def measure(seed: SeedDerivation) -> float | None:
+        if mode is WeightMode.TIED:
+            z = solve_closed_form(sample(spec, seed), x)
+        else:
+            z = iterate_untied(spec, x, t_stop, seed)
+        return (float(z @ z) - xx) / xx if np.all(np.isfinite(z)) else None
+
+    return over_seeds(measure, base_seed, spec.family, grid_label, n_seeds)
 
 
 def estimate_length_variance(
@@ -128,7 +120,7 @@ def estimate_length_variance(
     n_probes: int = 32,
 ) -> tuple[list[float], int]:
     """Monte-Carlo fourth-moment factor ``tr[(M^T M)^2] / N`` over seeds;
-    returns the per-seed values and the count of singular seeds.
+    a seed fails when its matrix is singular (see ``estimate_moments``).
 
     Tied: M = (I - W)^{-1}, per-seed trace exact or Hutchinson.  Untied: the
     summed product truncated where the scale bias drops below 1e-6, then the
@@ -141,30 +133,19 @@ def estimate_length_variance(
     if estimator_mode not in ("exact", "hutchinson"):
         raise ValueError(f"unknown estimator mode {estimator_mode!r}")
     check_subcritical(spec.family, weight_mode, spec.scale)
-    values: list[float] = []
-    n_diverged = 0
     t_stop = untied_truncation_depth(spec.scale) if weight_mode is WeightMode.UNTIED else 0
-    for rep in range(n_seeds):
-        seed = seed_for(base_seed, spec.family, grid_label, rep)
-        try:
-            if weight_mode is WeightMode.TIED:
-                a = np.eye(spec.dim) - sample(spec, seed)
-                if estimator_mode == "exact":
-                    values.append(numerics.gram_inverse_sq_trace(a))
-                else:
-                    est, _ = numerics.gram_inverse_sq_trace_hutchinson(
-                        a, n_probes=n_probes, rng=seed.child(10_001).generator()
-                    )
-                    values.append(est)
-            else:
-                m = untied_propagator(spec, seed, t_stop)
-                gram = m.T @ m
-                values.append(float(np.sum(gram * gram)) / spec.dim)
-        except numerics.SingularMatrixError:
-            n_diverged += 1
-    if not values:
-        raise numerics.SingularMatrixError("all seeds diverged")
-    return values, n_diverged
+
+    def measure(seed: SeedDerivation) -> float:
+        if weight_mode is WeightMode.UNTIED:
+            m = untied_propagator(spec, seed, t_stop)
+            gram = m.T @ m
+            return float(np.sum(gram * gram)) / spec.dim
+        a = np.eye(spec.dim) - sample(spec, seed)
+        if estimator_mode == "exact":
+            return numerics.gram_inverse_sq_trace(a)
+        return numerics.gram_inverse_sq_trace_hutchinson(a, n_probes=n_probes, rng=seed.child(10_001).generator())[0]
+
+    return over_seeds(measure, base_seed, spec.family, grid_label, n_seeds)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .ensembles import EnsembleSpec, Family, sample, seed_for
+from .ensembles import EnsembleSpec, Family, over_seeds, sample
 
 _RESIDUAL_CLIP = 1e6
 _CONVERGE_FLOOR = 1e-12  # residual at which the fig4 probe stops a scale
@@ -295,13 +295,13 @@ def residual_sweep(
     """
     family = Family(family)
     unit = EnsembleSpec(family, n, 1.0)
-    residuals = np.empty((len(sqrt_v_grid), n_seeds))
-    for rep in range(n_seeds):
-        seed = seed_for(base_seed, family, 7, rep)
-        w_unit = sample(unit, seed)
+
+    def measure(seed) -> np.ndarray:
         x = seed.child(1).generator().standard_normal(n) * math.sqrt(SIGMA_X_SQ)
-        residuals[:, rep] = _probe_residuals(w_unit, x, sqrt_v_grid, phi, t_probe)
-    return residuals
+        return _probe_residuals(sample(unit, seed), x, sqrt_v_grid, phi, t_probe)
+
+    columns, _ = over_seeds(measure, base_seed, family, 7, n_seeds)
+    return np.ascontiguousarray(np.reshape(columns, (n_seeds, len(sqrt_v_grid))).T)
 
 
 def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe):

@@ -3,9 +3,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from deqlab import cli, numerics
+from deqlab import cli, linear_deq, numerics
 from deqlab.cli import ConfigError, validate_config
 from deqlab.experiments import CSV_COLUMNS, parse_grid
 
@@ -385,6 +386,28 @@ class TestCliRuns:
         assert all(row["diverged"] == "3" for row in _rows(out))
         manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
         assert len(manifest["per_cell_diverged"]) == 9 and set(manifest["per_cell_diverged"].values()) == {3}
+
+    @pytest.mark.parametrize("experiment", [["fig1"], ["moments", "--weight-mode", "tied"]], ids=["fig1", "moments"])
+    def test_every_seed_singular_exits_3(self, experiment, tmp_path, monkeypatch, capsys):
+        # W = I makes I - W singular for every seed: each cell counts its seeds and keeps no value
+        monkeypatch.setattr(linear_deq, "sample", lambda spec, seed: np.eye(spec.dim))
+        out = tmp_path / "singular.csv"
+        args = [*experiment, "--n", "4", "--seeds", "2", "--grid", "0.5:0.5:1", "--families", "random"]
+        assert _run_cli([*args, "--out", str(out)]) == 3
+        assert "every cell diverged" in capsys.readouterr().err
+        mc_rows = [row for row in _rows(out) if row["seeds"]]
+        assert mc_rows and all(row["diverged"] == "2" for row in mc_rows)
+        assert all(row[column] == "" for row in mc_rows for column in CSV_COLUMNS if column.startswith("emp_"))
+
+    def test_freeprob_check_honours_seeds(self, tmp_path):
+        mc = {}
+        for seeds in ("1", "2"):
+            out = tmp_path / f"fp{seeds}.csv"
+            assert _run_cli(["freeprob-check", "--n", "2", "--seeds", seeds, "--out", str(out)]) == 0
+            mc[seeds] = [r for r in _rows(out) if r["statistic"] in ("cubic_m2_vs_mc", "cubic_m3_vs_mc")]
+            assert len(mc[seeds]) == 2 and all(r["seeds"] == seeds for r in mc[seeds])
+        # one seed is not averaged with a second one behind the flag's back
+        assert all(one["emp_mean"] != two["emp_mean"] for one, two in zip(mc["1"], mc["2"]))
 
     def test_freeprob_check_small(self, tmp_path):
         out = tmp_path / "fp.csv"

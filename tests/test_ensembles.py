@@ -8,9 +8,11 @@ from deqlab.ensembles import (
     Family,
     SeedDerivation,
     haar_orthogonal,
+    over_seeds,
     sample,
     seed_for,
 )
+from deqlab.numerics import SingularMatrixError
 
 
 def test_orthogonal_gram_is_exact():
@@ -103,6 +105,37 @@ def test_invalid_specs_rejected():
         EnsembleSpec(Family.RANDOM, 10, -0.5)
     with pytest.raises(ValueError):
         EnsembleSpec("not-a-family", 10, 0.5)
+
+
+class TestOverSeeds:
+    def test_values_in_replicate_order_from_each_replicates_seed(self):
+        seen = []
+
+        def measure(seed):
+            seen.append(seed)
+            return seed.labels[-1] * 10
+
+        values, n_failed = over_seeds(measure, 5, Family.GOE, 3, 4)
+        assert values == [0, 10, 20, 30] and n_failed == 0
+        assert seen == [seed_for(5, Family.GOE, 3, k) for k in range(4)]
+
+    def test_none_and_singular_seeds_fail(self):
+        def measure(seed):
+            rep = seed.labels[-1]
+            if rep == 1:
+                return None
+            if rep == 3:
+                raise SingularMatrixError("singular")
+            return rep
+
+        assert over_seeds(measure, 0, Family.RANDOM, 0, 5) == ([0, 2, 4], 2)
+
+    def test_other_errors_propagate(self):
+        def measure(seed):
+            raise ValueError("not a seed failure")
+
+        with pytest.raises(ValueError):
+            over_seeds(measure, 0, Family.RANDOM, 0, 2)
 
 
 BASES = st.integers(0, 2**63 - 1)

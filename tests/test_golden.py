@@ -2,11 +2,11 @@
 
 The files under ``tests/golden/`` were written by the command-line runs in
 ``RUNS``.  Text and integer cells must match exactly; float cells to 1e-12
-relative, so that a different BLAS build does not fail the check.  Every
-grid settles or clips; none sits in a chaotic supercritical cell.  The
-``train-probe-diverged`` run pins the diverged cells: with the identity map a
-forward solve at spectral radius 1.3-2.6 fails at once, whatever the
-low-order bits.  Each run must also write the same bytes at ``--threads 3``
+relative, so that a different BLAS build does not fail the check.  Two runs
+pin diverged cells, whatever the low-order bits: in ``fig2-unsettled`` no tanh
+seed settles at sqrt(V)=3, so those rows keep no ``emp_*`` value; in
+``train-probe-diverged`` the identity map's forward solve at spectral radius
+1.3-2.6 fails at once.  Every other cell settles or clips.  Each run must also write the same bytes at ``--threads 3``
 as at one thread.
 """
 
@@ -23,6 +23,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RUNS = {
     "fig1": ["fig1", "--n", "60", "--seeds", "2", "--grid", "0.4:0.6:2"],
     "fig2": ["fig2", "--n", "60", "--seeds", "3", "--grid", "0.3:0.6:2"],
+    "fig2-unsettled": ["fig2", "--n", "200", "--seeds", "4", "--phi", "tanh", "--families", "random,orthogonal",
+                       "--grid", "1.5:3:2"],
     "fig3": ["fig3", "--n", "60", "--seeds", "2", "--grid", "0.2:0.4:2"],
     "fig4": ["fig4", "--n", "100", "--seeds", "3", "--grid", "0.3:1.2:3",
              "--families", "orthogonal", "--phi", "identity"],
