@@ -15,7 +15,7 @@ from .analytic_moments import (
     variance_factor_theory,
 )
 from .ensembles import EnsembleSpec, Family, SeedDerivation, sample
-from .numerics import SingularMatrixError, SpectralDensity
+from .numerics import SingularMatrixError
 
 __all__ = [
     "CriticalScaleError",
@@ -23,7 +23,6 @@ __all__ = [
     "Family",
     "SeedDerivation",
     "SingularMatrixError",
-    "SpectralDensity",
     "WeightMode",
     "critical_scale",
     "length_variance_theory",

@@ -333,13 +333,14 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
         )
 
     # semicircle density peak via boundary-value recovery
-    dens = freeprob.density_from_stieltjes(freeprob.semicircle_stieltjes, freeprob.recovery_grid((-2.0, 2.0)))
-    rows.append(row("semicircle_peak_density", 1.0 / math.pi, float(dens.density.max())))
+    _, density = freeprob.density_from_stieltjes(freeprob.semicircle_stieltjes, freeprob.recovery_grid((-2.0, 2.0)))
+    rows.append(row("semicircle_peak_density", 1.0 / math.pi, float(density.max())))
 
-    # GOE resolvent moment series against the Catalan generating function
+    # GOE resolvent moments: the Catalan generating function and the moment
+    # recursion against contour coefficients and the closed form of M
     v = 0.1
-    series = freeprob.goe_resolvent_mgf(v, k_max=6)
-    rows.append(row("goe_mgf_m1", catalan_generating(v), float(series.coefficient(1)), v=v))
+    rows.append(row("goe_mgf_m1", catalan_generating(v), freeprob.goe_resolvent_moment(v, 1), v=v))
+    series = freeprob.goe_resolvent_mgf(v, k_max=48)
     closed = freeprob.goe_resolvent_mgf_value(5.0, v)
     rows.append(row("goe_mgf_closed_vs_series_z5", abs(complex(closed)), abs(series.evaluate(5.0)), v=v))
 
@@ -355,18 +356,21 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
         sv = np.linalg.svd(np.eye(n) - sample(spec, seed), compute_uv=False)
         return float(np.mean(sv**-4.0)), float(np.mean(sv**-6.0))
 
-    mc, _ = over_seeds(inverse_singular_moments, config.seed, Family.RANDOM, 21, config.seeds)
+    mc, n_failed = over_seeds(inverse_singular_moments, config.seed, Family.RANDOM, 21, config.seeds)
     for k, values in zip((2, 3), zip(*mc)):
-        rows.append(row(f"cubic_m{k}_vs_mc", float(m_mc.coefficient(k)), float(np.mean(values)), v=v_mc, n=n, seeds=config.seeds))
+        common = dict(v=v_mc, n=n, seeds=config.seeds, diverged=n_failed, **_emp_columns(values))
+        rows.append(ResultRow("freeprob-check", f"cubic_m{k}_vs_mc", theory=float(m_mc.coefficient(k)), **common))
 
-    # closed-form second moment against the length-variance formula on a grid
+    # contour fourth moment against the tied-GOE length-variance closed form
     grid = np.linspace(0.01, 0.24, 20)
-    max_err = max(freeprob.goe_gram_length_variance_consistency(float(x)) for x in grid)
+    max_err = max(
+        abs(freeprob.goe_resolvent_moment(float(x), 4) - length_variance_theory(Family.GOE, WeightMode.TIED, float(x)))
+        for x in grid
+    )
     rows.append(row("goe_second_moment_grid_max_abs_err", 0.0, max_err))
 
     # hard-tanh Jacobian spectrum against one empirical draw
     p, v_j = 0.5, 0.2
-    target = freeprob.hardtanh_jacobian_density(p, v_j)
     seed = seed_for(config.seed, Family.GOE, 22, 0)
     w = sample(EnsembleSpec(Family.GOE, n, v_j), seed)
     gates = (seed.child(1).generator().random(n) < p).astype(float)
@@ -381,14 +385,13 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
     ks = freeprob.kolmogorov_distance(continuous, lambda x: freeprob.semicircle_cdf(x, radius)) if continuous.size else None
     rows.append(row("hardtanh_atom_mass", 1.0 - p, atom_mass, v=v_j, n=n))
     rows.append(row("hardtanh_continuous_ks", 0.0, ks, v=v_j, n=n))
-    rows.append(row("hardtanh_second_moment", p * p * v_j, target.moment(2), v=v_j))
+    rows.append(row("hardtanh_second_moment", p * p * v_j, float(np.mean(eigs**2)), v=v_j, n=n))
 
     # spectral support of (I-W)^{-1} recovered from the transform
     lo, hi = freeprob.goe_resolvent_support(0.1)
     g_res = freeprob.goe_resolvent_stieltjes(0.1)
-    recovered = freeprob.density_from_stieltjes(g_res, freeprob.recovery_grid((lo, hi)))
-    thresh = 1e-3 * recovered.density.max()
-    occupied = recovered.grid[recovered.density > thresh]
+    grid, density = freeprob.density_from_stieltjes(g_res, freeprob.recovery_grid((lo, hi)))
+    occupied = grid[density > 1e-3 * density.max()]
     rows.append(row("goe_resolvent_support_lo", lo, float(occupied.min()), v=0.1))
     rows.append(row("goe_resolvent_support_hi", hi, float(occupied.max()), v=0.1))
     return rows

@@ -18,9 +18,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .analytic_moments import CriticalScaleError, length_variance_theory
-from .ensembles import Family
-from .numerics import SpectralDensity
+from .analytic_moments import CriticalScaleError
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,6 @@ def semicircle_stieltjes(z, v: float = 1.0):
     else:
         out = (z - _sqrt_two_cuts(z, -r, r)) / (2.0 * v)
     return complex(out) if out.ndim == 0 else out
-
-
-def semicircle_density(x, radius: float, mass: float = 1.0):
-    x = np.asarray(x, dtype=float)
-    inside = np.clip(radius * radius - x * x, 0.0, None)
-    return 2.0 * mass / (math.pi * radius * radius) * np.sqrt(inside)
 
 
 def semicircle_cdf(x, radius: float):
@@ -164,40 +156,22 @@ def goe_resolvent_mgf(v: float, k_max: int = 8) -> PowerSeries:
     return PowerSeries(tuple(m))
 
 
-def goe_gram_second_moment(v: float) -> float:
-    """``tr[((I-W)^{-T}(I-W)^{-1})^2] / N`` for GOE W, closed form.
+def goe_resolvent_moment(v: float, k: int) -> float:
+    """``tr[(I - W)^{-k}] / N`` for GOE W, from the closed-form MGF alone.
 
-    Evaluates ``(1/4V) ((1-4V)^{-5/2} - (1-4V)^{-3/2})`` (limit 1 at V = 0)
-    and cross-checks it against the numerically differentiated series
-    generator: ``(1/4!) d^4 M / dw^4`` at ``w = 0``, read off as the fourth
-    contour coefficient of ``M(w)`` on a circle of half the convergence
-    radius.  Real-step stencils lose up to three digits near threshold; the
-    contour rule is uniformly accurate, so the two sides must agree to 1e-6
-    relative everywhere below threshold.
+    The k-th Taylor coefficient of ``M(1/w)`` at ``w = 0``, read off by the
+    trapezoidal contour rule on 128 nodes of a circle of half the radius of
+    convergence ``1 - 2 sqrt(V)``.  It owes nothing to the moment recursion
+    of :func:`goe_resolvent_mgf` or to the closed forms of
+    ``analytic_moments``; for tied GOE, k = 4 is the gram second moment
+    ``tr[((I-W)^{-T}(I-W)^{-1})^2] / N``.
     """
     if not 0.0 <= v < 0.25:
         raise CriticalScaleError(v, 0.25)
-    if v == 0.0:
-        return 1.0
-    u = 1.0 - 4.0 * v
-    closed = (u**-2.5 - u**-1.5) / (4.0 * v)
-
-    def m_of_w(w):
-        # M(w) = w * g(w - 1) with the rationalized, cancellation-free form
-        # g(x) = 2 / (-x + sqrt(x^2 - 4V)).
-        x = w - 1.0
-        return w * 2.0 / (-x + np.sqrt(x * x - 4.0 * v))
-
-    # M is analytic in |w| < 1 - 2 sqrt(V); sample at half that radius.
     radius = 0.5 * (1.0 - 2.0 * math.sqrt(v))
     theta = 2.0 * np.pi * np.arange(128) / 128
     ring = radius * np.exp(1j * theta)
-    numeric = float(np.mean(m_of_w(ring) * np.exp(-4j * theta)).real / radius**4)
-    if abs(numeric - closed) > 1e-6 * max(1.0, abs(closed)):
-        raise AssertionError(
-            f"fourth-derivative check {numeric!r} disagrees with closed form {closed!r}"
-        )
-    return closed
+    return float(np.mean(goe_resolvent_mgf_value(1.0 / ring, v) * np.exp(-1j * k * theta)).real / radius**k)
 
 
 # ---------------------------------------------------------------------------
@@ -236,38 +210,19 @@ def random_gram_moment_series(v, k_max: int) -> PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Hard-tanh Jacobian spectrum and density recovery
+# Density recovery
 # ---------------------------------------------------------------------------
 
 
-def hardtanh_jacobian_density(p: float, v: float) -> SpectralDensity:
-    """Spectrum of ``diag(phi') W`` for GOE W at scale V, hard-tanh phi.
-
-    An atom at 0 of mass ``1 - p`` plus a semicircle of mass p and radius
-    ``2 sqrt(V p)``; p is the active-gate probability P(|h| < 1).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"active probability must lie in [0, 1], got {p}")
-    if v < 0:
-        raise ValueError(f"scale must be >= 0, got {v}")
-    radius = 2.0 * math.sqrt(v * p)
-    if p == 0.0 or radius == 0.0:
-        return SpectralDensity(atoms=((0.0, 1.0),), grid=np.array([-1.0, 1.0]), density=np.zeros(2))
-    grid = np.linspace(-radius, radius, 2001)
-    density = semicircle_density(grid, radius, mass=p)
-    density *= p / np.trapezoid(density, grid)  # pin the trapezoidal mass to p exactly
-    atoms = ((0.0, 1.0 - p),) if p < 1.0 else ()
-    return SpectralDensity(atoms=atoms, grid=grid, density=density)
-
-
-def density_from_stieltjes(g, grid: np.ndarray) -> SpectralDensity:
-    """Recover a spectral density from the boundary values ``-Im G(x + i eps)/pi``
+def density_from_stieltjes(g, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recover ``(grid, density)`` from the boundary values ``-Im G(x + i eps)/pi``
     of any callable transform G.
 
     Evaluates at eps = 1e-3 and 2 eps and extrapolates linearly to the axis.
     Raises on Herglotz violations.  The transform must have no atoms (their
     1/eps spikes are not separated out).  The recovered density carries
-    smoothing error O(eps), so normalization is only enforced loosely.
+    smoothing error O(eps), so its trapezoidal mass need only lie within 0.05
+    of 1; a mass that is off by more, or not a number, raises.
     """
     eps = 1e-3
     grid = np.asarray(grid, dtype=float)
@@ -279,7 +234,10 @@ def density_from_stieltjes(g, grid: np.ndarray) -> SpectralDensity:
     rho1 = -g1.imag / math.pi
     rho2 = -g2.imag / math.pi
     density = np.clip(2.0 * rho1 - rho2, 0.0, None)
-    return SpectralDensity(atoms=(), grid=grid, density=density, norm_tol=0.05)
+    mass = float(np.trapezoid(density, grid))
+    if not abs(mass - 1.0) <= 0.05:
+        raise ValueError(f"recovered mass {mass:.8f} deviates from 1 by more than 0.05")
+    return grid, density
 
 
 def recovery_grid(support: tuple[float, float], n_grid: int = 2001) -> np.ndarray:
@@ -288,7 +246,3 @@ def recovery_grid(support: tuple[float, float], n_grid: int = 2001) -> np.ndarra
     center, half = 0.5 * (lo + hi), 0.6 * (hi - lo)
     return np.linspace(center - half, center + half, n_grid)
 
-
-def goe_gram_length_variance_consistency(v: float) -> float:
-    """|goe_gram_second_moment - tied-GOE T(V)|; the two are one formula."""
-    return abs(goe_gram_second_moment(v) - length_variance_theory(Family.GOE, "tied", v))

@@ -308,58 +308,3 @@ def gauss_hermite_expect(f, mean: float, variance: float) -> float:
         )
     return float(val)
 
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Atoms plus a continuous density on an ascending grid.
-
-    Total mass (atom masses plus trapezoidal integral of the density) must be
-    1 within ``norm_tol``; densities recovered from boundary values of a
-    transform carry smoothing error and are constructed with a looser
-    ``norm_tol`` than analytic ones.
-    """
-
-    atoms: tuple[tuple[float, float], ...]
-    grid: np.ndarray
-    density: np.ndarray
-    norm_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "atoms", tuple((float(a), float(m)) for a, m in self.atoms))
-        if grid.shape != density.shape or grid.ndim != 1:
-            raise ValueError("grid and density must be 1-d arrays of equal length")
-        _require_finite(grid, "grid")
-        _require_finite(density, "density")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly ascending")
-        if np.any(density < 0):
-            raise ValueError("density must be non-negative")
-        for _, mass in self.atoms:
-            if not 0.0 <= mass <= 1.0:
-                raise ValueError(f"atom mass must lie in [0, 1], got {mass}")
-        if abs(self.total_mass() - 1.0) > self.norm_tol:
-            raise ValueError(
-                f"total mass {self.total_mass():.8f} deviates from 1 by more than {self.norm_tol}"
-            )
-
-    def atom_mass(self) -> float:
-        return float(sum(m for _, m in self.atoms))
-
-    def continuous_mass(self) -> float:
-        if self.grid.size < 2:
-            return 0.0
-        return float(np.trapezoid(self.density, self.grid))
-
-    def total_mass(self) -> float:
-        return self.atom_mass() + self.continuous_mass()
-
-    def moment(self, k: int) -> float:
-        """k-th moment of the full (atoms + continuous) distribution."""
-        m = sum(mass * loc**k for loc, mass in self.atoms)
-        if self.grid.size >= 2:
-            m += float(np.trapezoid(self.density * self.grid**k, self.grid))
-        return float(m)

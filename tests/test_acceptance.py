@@ -68,7 +68,7 @@ def test_criterion_01_exact_formula_suite():
     checks.append(series.coefficient(2) == Fraction(16))
     grid = np.linspace(0.005, 0.245, 20)
     grid_err = max(
-        abs(fp.goe_gram_second_moment(float(v)) - length_variance_theory(Family.GOE, TIED, float(v)))
+        abs(fp.goe_resolvent_moment(float(v), 4) - length_variance_theory(Family.GOE, TIED, float(v)))
         / length_variance_theory(Family.GOE, TIED, float(v))
         for v in grid
     )

@@ -409,6 +409,17 @@ class TestCliRuns:
         # one seed is not averaged with a second one behind the flag's back
         assert all(one["emp_mean"] != two["emp_mean"] for one, two in zip(mc["1"], mc["2"]))
 
+    def test_freeprob_check_mc_rows_fill_every_emp_column(self, tmp_path):
+        out = tmp_path / "fp.csv"
+        assert _run_cli(["freeprob-check", "--n", "40", "--seeds", "3", "--out", str(out)]) == 0
+        mc = [r for r in _rows(out) if r["statistic"] in ("cubic_m2_vs_mc", "cubic_m3_vs_mc")]
+        assert len(mc) == 2
+        for r in mc:
+            assert r["diverged"] == "0"
+            for column in ("emp_mean", "emp_median", "emp_stderr", "emp_q25", "emp_q75"):
+                assert math.isfinite(float(r[column]))
+            assert float(r["emp_q25"]) <= float(r["emp_median"]) <= float(r["emp_q75"])
+
     def test_freeprob_check_small(self, tmp_path):
         out = tmp_path / "fp.csv"
         assert _run_cli(["freeprob-check", "--n", "400", "--seeds", "2", "--out", str(out)]) == 0

@@ -49,17 +49,17 @@ class TestSemicircle:
             assert np.all(vals.imag < 0)
 
     def test_density_recovery_peak(self):
-        dens = fp.density_from_stieltjes(lambda z: fp.semicircle_stieltjes(z, 1.0), fp.recovery_grid((-2, 2)))
-        assert dens.density.max() == pytest.approx(1.0 / math.pi, abs=1e-3)
-        assert not dens.atoms
+        _, density = fp.density_from_stieltjes(lambda z: fp.semicircle_stieltjes(z, 1.0), fp.recovery_grid((-2, 2)))
+        assert density.max() == pytest.approx(1.0 / math.pi, abs=1e-3)
 
     def test_recovered_moments_match_series(self):
         # moments C_{k/2} V^{k/2} for even k, 0 for odd k, at V = 1
-        dens = fp.density_from_stieltjes(lambda z: fp.semicircle_stieltjes(z, 1.0), fp.recovery_grid((-2, 2), 4001))
-        assert abs(dens.moment(1)) < 1e-3
-        assert dens.moment(2) == pytest.approx(1.0, rel=1e-3)
-        assert abs(dens.moment(3)) < 1e-2
-        assert dens.moment(4) == pytest.approx(2.0, rel=1e-3)
+        grid, density = fp.density_from_stieltjes(lambda z: fp.semicircle_stieltjes(z, 1.0), fp.recovery_grid((-2, 2), 4001))
+        moment = [np.trapezoid(density * grid**k, grid) for k in range(5)]
+        assert abs(moment[1]) < 1e-3
+        assert moment[2] == pytest.approx(1.0, rel=1e-3)
+        assert abs(moment[3]) < 1e-2
+        assert moment[4] == pytest.approx(2.0, rel=1e-3)
 
 
 class TestGoeResolventMgf:
@@ -81,9 +81,14 @@ class TestGoeResolventMgf:
         v = 0.1
         series = fp.goe_resolvent_mgf(v, k_max=4)
         g = fp.goe_resolvent_stieltjes(v)
-        dens = fp.density_from_stieltjes(g, fp.recovery_grid(fp.goe_resolvent_support(v), 4001))
+        grid, density = fp.density_from_stieltjes(g, fp.recovery_grid(fp.goe_resolvent_support(v), 4001))
         for k in range(1, 5):
-            assert dens.moment(k) == pytest.approx(float(series.coefficient(k)), rel=1e-3)
+            assert np.trapezoid(density * grid**k, grid) == pytest.approx(float(series.coefficient(k)), rel=1e-3)
+
+    def test_contour_moments_match_series(self):
+        series = fp.goe_resolvent_mgf(0.1, 6)
+        for k in range(1, 7):
+            assert fp.goe_resolvent_moment(0.1, k) == pytest.approx(float(series.coefficient(k)), rel=1e-12)
 
     def test_support_endpoints(self):
         lo, hi = fp.goe_resolvent_support(0.1)
@@ -95,8 +100,8 @@ class TestGoeResolventMgf:
         g = fp.goe_resolvent_stieltjes(v)
         lo, hi = fp.goe_resolvent_support(v)
         grid = fp.recovery_grid((lo, hi), 2001)
-        dens = fp.density_from_stieltjes(g, grid)
-        occupied = dens.grid[dens.density > 1e-3 * dens.density.max()]
+        _, density = fp.density_from_stieltjes(g, grid)
+        occupied = grid[density > 1e-3 * density.max()]
         resolution = 3 * (grid[1] - grid[0]) + 0.01
         assert occupied.min() == pytest.approx(lo, abs=resolution)
         assert occupied.max() == pytest.approx(hi, abs=resolution)
@@ -107,21 +112,23 @@ class TestGoeResolventMgf:
 
 
 class TestGoeGramSecondMoment:
+    """For tied GOE the gram second moment is the fourth resolvent moment."""
+
     def test_small_scale_limit(self):
-        assert fp.goe_gram_second_moment(0.0) == 1.0
-        assert fp.goe_gram_second_moment(1e-8) == pytest.approx(1.0, abs=1e-6)
+        assert fp.goe_resolvent_moment(0.0, 4) == pytest.approx(1.0, abs=1e-14)
+        assert fp.goe_resolvent_moment(1e-8, 4) == pytest.approx(1.0, abs=1e-6)
 
     def test_value_at_eighth(self):
-        assert fp.goe_gram_second_moment(0.125) == pytest.approx(2.0**2.5, rel=1e-12)
+        assert fp.goe_resolvent_moment(0.125, 4) == pytest.approx(2.0**2.5, rel=1e-12)
 
     def test_equals_length_variance_formula(self):
         for v in np.linspace(0.005, 0.245, 20):
             lv = length_variance_theory(Family.GOE, "tied", float(v))
-            assert fp.goe_gram_second_moment(float(v)) == pytest.approx(lv, rel=1e-12)
+            assert fp.goe_resolvent_moment(float(v), 4) == pytest.approx(lv, rel=1e-12)
 
     def test_supercritical_rejected(self):
         with pytest.raises(CriticalScaleError):
-            fp.goe_gram_second_moment(0.25)
+            fp.goe_resolvent_moment(0.25, 4)
 
 
 class TestRandomGramMomentSeries:
@@ -170,34 +177,21 @@ class TestRandomGramMomentSeries:
             fp.random_gram_moment_series(1.0, 2)
 
 
-class TestHardtanhJacobianDensity:
-    def test_fully_active_is_pure_semicircle(self):
-        dens = fp.hardtanh_jacobian_density(1.0, 0.36)
-        radius = 2 * math.sqrt(0.36)
-        assert not dens.atoms
-        assert dens.grid[0] == pytest.approx(-radius)
-        assert dens.grid[-1] == pytest.approx(radius)
-        assert dens.continuous_mass() == pytest.approx(1.0, abs=1e-12)
-
-    def test_fully_saturated_is_unit_atom(self):
-        dens = fp.hardtanh_jacobian_density(0.0, 0.5)
-        assert dens.atoms == ((0.0, 1.0),)
-        assert dens.continuous_mass() == 0.0
-
-    def test_second_moment(self):
-        dens = fp.hardtanh_jacobian_density(0.5, 1.0)
-        assert dens.moment(2) == pytest.approx(0.25, abs=1e-4)
-
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ValueError):
-            fp.hardtanh_jacobian_density(1.5, 1.0)
-
-
 class TestDensityRecovery:
     def test_herglotz_violation_detected(self):
         bad = lambda z: 1j * np.ones_like(np.asarray(z, dtype=complex))
         with pytest.raises(ValueError):
             fp.density_from_stieltjes(bad, np.linspace(-1, 1, 51))
+
+    def test_mass_off_one_rejected(self):
+        twice = lambda z: 2.0 * fp.semicircle_stieltjes(z, 1.0)
+        with pytest.raises(ValueError, match="2.000002"):
+            fp.density_from_stieltjes(twice, fp.recovery_grid((-2, 2)))
+
+    def test_nan_transform_rejected(self):
+        nan = lambda z: np.full(np.shape(z), complex(math.nan, math.nan))
+        with pytest.raises(ValueError):
+            fp.density_from_stieltjes(nan, np.linspace(-1, 1, 51))
 
     def test_empirical_bernoulli_gated_spectrum(self):
         # diag(sqrt(gates)) W diag(sqrt(gates)) against the atom+semicircle law

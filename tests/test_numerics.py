@@ -269,29 +269,3 @@ class TestGaussHermiteExpect:
                 got = numerics.gauss_hermite_expect(f, 0.0, s)
             assert abs(got - quad_expect(oracle, s)) <= 1e-12
 
-
-class TestSpectralDensity:
-    def test_normalization_enforced(self):
-        grid = np.linspace(-1, 1, 101)
-        density = np.full(101, 0.5)
-        sd = numerics.SpectralDensity(atoms=(), grid=grid, density=density)
-        assert sd.total_mass() == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            numerics.SpectralDensity(atoms=(), grid=grid, density=2 * density)
-
-    def test_negative_density_rejected(self):
-        grid = np.linspace(-1, 1, 11)
-        density = np.full(11, 0.5)
-        density[3] = -0.1
-        with pytest.raises(ValueError):
-            numerics.SpectralDensity(atoms=(), grid=grid, density=density)
-
-    def test_atoms_and_cdf(self):
-        sd = numerics.SpectralDensity(
-            atoms=((0.0, 0.4),),
-            grid=np.linspace(1.0, 2.0, 101),
-            density=np.full(101, 0.6),
-        )
-        assert sd.atom_mass() == pytest.approx(0.4)
-        assert sd.continuous_mass() == pytest.approx(0.6)
-        assert sd.moment(1) == pytest.approx(0.6 * 1.5)
