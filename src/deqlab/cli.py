@@ -95,7 +95,7 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
             raw.update(read_config_file(path))
         except ConfigError as exc:
             errors.extend(exc.errors)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
     for key, value in (overrides or {}).items():
         if value is not None:

@@ -93,15 +93,16 @@ def parse_grid(text: str) -> tuple[float, ...]:
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise ValueError(f"grid must be lo:hi:steps or lo:hi:steps:log, got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 1 or hi < lo or (hi == lo and steps > 1):
-        raise ValueError(f"grid needs steps >= 1, hi >= lo and distinct points, got {text!r}")
+    if steps < 1 or hi < lo:
+        raise ValueError(f"grid needs steps >= 1 and hi >= lo, got {text!r}")
     if steps == 1:
         return (lo,)
-    if len(parts) == 4:
-        if lo <= 0:
-            raise ValueError("log grid requires lo > 0")
-        return tuple(float(g) for g in np.geomspace(lo, hi, steps))
-    return tuple(float(g) for g in np.linspace(lo, hi, steps))
+    if len(parts) == 4 and lo <= 0:
+        raise ValueError("log grid requires lo > 0")
+    grid = tuple(float(g) for g in (np.geomspace if len(parts) == 4 else np.linspace)(lo, hi, steps))
+    if len(set(grid)) < steps:
+        raise ValueError(f"grid points must be distinct, got {text!r}")
+    return grid
 
 
 def parse_families(text: str) -> tuple[Family, ...]:

@@ -34,7 +34,7 @@ def iterate_tied(
     Overflow yields a diverged result, not an exception."""
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    return numerics.fixed_point(lambda z, _: w @ z + x, np.zeros_like(x), t_max, tol)
+    return numerics.fixed_point(lambda z, _: z @ w.T + x, np.zeros_like(x), t_max, tol)
 
 
 def iterate_untied(spec: EnsembleSpec, x: np.ndarray, t: int, seed: SeedDerivation) -> np.ndarray:

@@ -103,7 +103,7 @@ def iterate_h(
         raise ValueError("input vector contains non-finite entries")
     w = np.asarray(w, dtype=float)
     wx = w @ x
-    return numerics.fixed_point(lambda h, _: w @ phi.phi(h) + wx, np.zeros(x.shape[0]), t_max, tol)
+    return numerics.fixed_point(lambda h, _: phi.phi(h) @ w.T + wx, np.zeros(x.shape[0]), t_max, tol)
 
 
 def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
@@ -312,10 +312,10 @@ def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe):
     once it overflows (residual clipped) or settles.
     """
     scales = np.asarray(sqrt_scales, dtype=float)
-    _, residuals = numerics.fixed_point(
+    fp = numerics.fixed_point(
         lambda h, rows: ((phi.phi(h) + x) @ w_unit.T) * scales[rows, None],
         np.zeros((scales.size, x.shape[0])),
         t_probe,
         _CONVERGE_FLOOR,
     )
-    return np.minimum(residuals, _RESIDUAL_CLIP)
+    return np.minimum(fp.final_residual, _RESIDUAL_CLIP)

@@ -24,43 +24,35 @@ _OVERFLOW_NORM = 1e120
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Outcome of :func:`fixed_point` for a single vector."""
+    """Outcome of :func:`fixed_point`: where each row stopped, its final
+    residual, the row-steps taken (summed over rows) and whether every row
+    settled."""
 
     solution: np.ndarray
     iterations: int
-    final_residual: float
+    final_residual: np.ndarray | float
     converged: bool
 
 
-def fixed_point(step, x0: np.ndarray, t_max: int, tol: float):
+def fixed_point(step, x0: np.ndarray, t_max: int, tol: float) -> FixedPointResult:
     """Iterate ``x <- step(x, rows)`` from x0 until it settles, overflows or
     the budget of t_max steps runs out.
 
-    The residual is the step norm ``||x' - x|| / sqrt(N)``; a state settles
-    once it is at most tol, and overflows once it is not finite or its norm
-    exceeds 1e120.  The final residual is ``inf`` after an overflow and the
-    last (finite) one when the budget runs out.  For a single vector x0
-    (``rows`` is None) the result is a :class:`FixedPointResult`.  For a
-    stack of rows (k x N) each row stops on its own: ``step`` receives the
-    rows still running and their indices ``rows``, and the result is the
-    tuple ``(states, residuals)`` of where each row stopped and its final
-    residual, not a FixedPointResult, whose ``converged`` must be one bool.
+    x0 is a vector or a (k x N) stack of rows; a vector runs as a one-row
+    stack.  Each row stops on its own: ``step`` receives the (m x N) rows
+    still running and their indices ``rows``.  The residual is the step norm
+    ``||x' - x|| / sqrt(N)``; a row settles once it is at most tol, and
+    overflows once it is not finite or its norm exceeds 1e120.  A row's final
+    residual is ``inf`` after an overflow, or before any step, and the last
+    (finite) one when the budget runs out.  ``solution`` has the shape of x0
+    and ``final_residual`` that shape without its last axis.
     """
-    x, residual = x0, math.inf
-    sqrt_n = math.sqrt(x.shape[-1])
-    if x.ndim == 1:
-        for t in range(1, t_max + 1):
-            x_next = step(x, None)
-            residual = float(np.linalg.norm(x_next - x) / sqrt_n)
-            x = x_next
-            if not np.linalg.norm(x) <= _OVERFLOW_NORM:
-                return FixedPointResult(x, t, math.inf, False)
-            if residual <= tol:
-                return FixedPointResult(x, t, residual, True)
-        return FixedPointResult(x, t_max, residual, False)
-    states, out, rows = np.array(x, dtype=float), np.full(len(x), math.inf), np.arange(len(x))
+    states = np.array(x0, dtype=float, ndmin=2)
+    x, residual, rows = states, math.inf, np.arange(len(states))
+    out, sqrt_n, iterations = np.full(len(states), math.inf), math.sqrt(x.shape[-1]), 0
     for _ in range(t_max):
         x_next = step(x, rows)
+        iterations += rows.size
         d = x_next - x  # the norms are bit for bit np.linalg.norm(., axis=1), without its dispatch
         residual = np.sqrt(np.add.reduce(d * d, axis=1)) / sqrt_n
         x = x_next
@@ -74,7 +66,8 @@ def fixed_point(step, x0: np.ndarray, t_max: int, tol: float):
         if rows.size == 0:
             break
     states[rows], out[rows] = x, residual
-    return states, out
+    shape = np.shape(x0)
+    return FixedPointResult(states.reshape(shape), iterations, out.reshape(shape[:-1])[()], bool(np.all(out <= tol)))
 
 
 @dataclass(frozen=True)

@@ -40,19 +40,15 @@ def deq_forward(
     phi: Nonlinearity,
     tol: float = 1e-10,
     t_max: int = 5000,
-) -> numerics.FixedPointResult | tuple[np.ndarray, bool]:
+) -> numerics.FixedPointResult:
     """Fixed point of ``z <- phi(W z) + x`` by direct iteration from x, with
-    ``numerics.fixed_point``: a FixedPointResult for one input x, and
-    ``(states, converged)`` for a (k x N) stack of inputs, whose rows settle
-    on their own and which converges only if every residual is at most tol.
+    ``numerics.fixed_point``, for one input x or a (k x N) stack of inputs
+    whose rows settle on their own; it converges only if every row settles.
     Divergence is flagged, not raised.
     """
     w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return numerics.fixed_point(lambda z, _: phi.phi(w @ z) + x, x, t_max, tol)
-    states, residuals = numerics.fixed_point(lambda z, rows: phi.phi(z @ w.T) + x[rows], x, t_max, tol)
-    return states, bool(np.all(residuals <= tol))
+    x_rows = np.array(x, dtype=float, ndmin=2)
+    return numerics.fixed_point(lambda z, rows: phi.phi(z @ w.T) + x_rows[rows], x, t_max, tol)
 
 
 def deq_vjp(
@@ -92,9 +88,10 @@ def deq_vjp(
 
 def _mse_and_grads(w, v, xs, ys, phi):
     """Loss, dL/dW, dL/dv over a batch; None gradients signal solver failure."""
-    z_stars, converged = deq_forward(w, xs, phi)
-    if not converged:
+    fp = deq_forward(w, xs, phi)
+    if not fp.converged:
         return math.inf, None, None
+    z_stars = fp.solution
     errors = z_stars @ v - ys
     loss = float(np.mean(errors**2))
     weights = 2.0 * errors / xs.shape[0]

@@ -205,6 +205,14 @@ class TestCliRuns:
         assert _run_cli(["fig2", "--seeds", "-1"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_undecodable_config_file_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"experiment=fig1\nn=\xff\n")
+        out = tmp_path / "out.csv"
+        assert _run_cli(["fig1", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: cannot read config file {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent" / "out.csv"
         assert _run_cli(["moments", "--grid", "0.5:0.5:1", "--out", str(missing_dir)]) == 2
@@ -253,10 +261,14 @@ class TestCliRuns:
         [
             (["train-probe", "--grid", "0.1:0.1:2"], "grid"),
             (["fig2", "--grid", "0.3:0.3:3:log"], "grid"),
+            # lo and hi one ulp apart: linspace and geomspace repeat an end point
+            (["fig2", "--grid", "0.5:0.5000000000000001:3"], "grid"),
+            (["fig2", "--grid", "0.5:0.5000000000000001:3:log"], "grid"),
             (["train-probe", "--families", "random,random"], "families"),
             (["fig2", "--families", "goe,random,goe"], "families"),
         ],
-        ids=["train-probe-grid", "fig2-log-grid", "train-probe-families", "fig2-families"],
+        ids=["train-probe-grid", "fig2-log-grid", "fig2-ulp-grid", "fig2-ulp-log-grid", "train-probe-families",
+             "fig2-families"],
     )
     def test_repeated_family_or_grid_point_rejected(self, args, key, tmp_path, capsys):
         out = tmp_path / "rep.csv"

@@ -10,8 +10,8 @@ from deqlab.nonlinear_deq import TANH
 
 
 def _affine_step(a):
-    """``x <- a x + 1``; per row of a stack when a is an array."""
-    return lambda x, rows: (a if rows is None else a[rows, None]) * x + 1.0
+    """``x <- a x + 1``, with a per row of the stack when a is an array."""
+    return lambda x, rows: (a[rows, None] if np.ndim(a) else a) * x + 1.0
 
 
 class TestFixedPoint:
@@ -35,6 +35,17 @@ class TestFixedPoint:
         assert not res.converged and res.iterations == 121
         assert res.final_residual == math.inf
 
+    def test_single_vector_is_a_one_row_stack(self):
+        seen = []
+
+        def recording_step(x, rows):
+            seen.append((x.shape, rows.tolist()))
+            return 0.5 * x + 1.0
+
+        res = numerics.fixed_point(recording_step, np.zeros(self.n), 1000, 1e-10)
+        assert seen == [((1, self.n), [0])] * 35
+        assert res.solution.shape == (self.n,) and np.ndim(res.final_residual) == 0
+
     def test_nonfinite_state_is_overflow(self):
         res = numerics.fixed_point(lambda x, _: x + np.nan, np.zeros(self.n), 10, 1e-10)
         assert not res.converged and res.iterations == 1 and res.final_residual == math.inf
@@ -51,10 +62,12 @@ class TestFixedPoint:
         got = numerics.fixed_point(recording_step, np.zeros((3, self.n)), 200, 1e-10)
         assert len(seen) == 200
         assert [sum(row in rows for rows in seen) for row in range(3)] == [35, 200, 121]
-        states, residuals = got
+        assert got.iterations == 35 + 200 + 121 and got.converged is False
+        states, residuals = got.solution, got.final_residual
+        assert states.shape == (3, self.n) and residuals.shape == (3,)
         for row in range(3):
             single = numerics.fixed_point(_affine_step(a[row]), np.zeros(self.n), 200, 1e-10)
-            assert got[1][row] == single.final_residual
+            assert residuals[row] == single.final_residual
             assert np.array_equal(states[row], single.solution)
         assert residuals[0] <= 1e-10 and residuals[1] == 1.0 and residuals[2] == math.inf
         # where each row stopped: settled near 2, out of budget at 0 after an even count, overflowed
@@ -62,8 +75,18 @@ class TestFixedPoint:
 
     def test_stacked_zero_budget_keeps_the_start(self):
         x0 = np.arange(8.0).reshape(2, self.n)
-        states, residuals = numerics.fixed_point(_affine_step(np.array([0.5, 2.0])), x0, 0, 1e-10)
-        assert np.array_equal(states, x0) and states is not x0 and np.all(residuals == math.inf)
+        res = numerics.fixed_point(_affine_step(np.array([0.5, 2.0])), x0, 0, 1e-10)
+        assert np.array_equal(res.solution, x0) and res.solution is not x0 and np.all(res.final_residual == math.inf)
+        assert res.iterations == 0 and res.converged is False
+
+    @pytest.mark.parametrize("x0", [np.zeros(4), np.zeros((3, 4))], ids=["vector", "stack"])
+    @pytest.mark.parametrize("a", [0.5, 10.0])
+    def test_counts_are_python_scalars(self, x0, a):
+        # a tracer keeps iterations only when it is an int, and calls bool(converged)
+        res = numerics.fixed_point(_affine_step(a), x0, 200, 1e-10)
+        assert type(res.iterations) is int and type(res.converged) is bool
+        assert res.iterations == (35 if a == 0.5 else 121) * (x0.size // self.n)
+        assert res.converged is (a == 0.5)
 
 
 class TestSolveLinear:

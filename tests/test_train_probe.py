@@ -130,7 +130,7 @@ class TestStackedForward:
         assert np.linalg.norm(grad_w - want_w) <= 1e-12 * np.linalg.norm(want_w)
         assert np.linalg.norm(grad_v - want_v) <= 1e-12 * np.linalg.norm(want_v)
         # the stacked adjoint against one single-vector deq_vjp call per sample
-        z_stars, _ = tp.deq_forward(w, xs, phi)
+        z_stars = tp.deq_forward(w, xs, phi).solution
         weights = 2.0 * (z_stars @ v - ys) / len(ys)
         single = sum(c * tp.deq_vjp(w, x, phi, v, z_star=z) for c, x, z in zip(weights, xs, z_stars))
         assert np.linalg.norm(grad_w - single) <= 1e-12 * np.linalg.norm(single)
@@ -158,8 +158,9 @@ class TestAdjointAtThreshold:
     v = np.ones(n) / math.sqrt(n)
 
     def test_one_singular_sample_fails_the_stacked_adjoint(self):
-        z_stars, converged = tp.deq_forward(self.w, self.xs, HARD_TANH)
-        assert converged
+        fp = tp.deq_forward(self.w, self.xs, HARD_TANH)
+        assert fp.converged
+        z_stars = fp.solution
         for k in (0, 2):
             assert np.all(np.isfinite(tp.deq_vjp(self.w, self.xs[k], HARD_TANH, self.v, z_star=z_stars[k])))
         with pytest.raises(SingularMatrixError):
