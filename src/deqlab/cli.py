@@ -6,7 +6,8 @@ config file is also a flag, with dashes for underscores.
 Configs are flat ``key=value`` text files; command-line flags override file
 values.  Every run writes one CSV (UTF-8, header row, '.' decimal, one row
 per cell/statistic) and a JSON manifest carrying the resolved config, code
-version, wall time, per-cell diverged counts and the machine's setup.
+version, wall time, one record per cell (its label, wall time and diverged
+counts by statistic) and the machine's setup.
 Identical config and seed produce byte-identical CSV at any thread count;
 everything time-dependent is isolated in the manifest.
 
@@ -16,7 +17,6 @@ Exit codes: 0 success, 1 config error, 2 I/O error, 3 all cells failed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -31,7 +31,7 @@ import scipy
 
 from . import __version__
 from .ensembles import Family
-from .experiments import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig, ResultRow
+from .experiments import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig, ResultRow, run_cells
 from .nonlinear_deq import ZERO_ONE_GATES
 
 DEFAULT_N = {"fig1": 2000, "train-probe": 64}
@@ -189,17 +189,6 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
     return config
 
 
-def _parallel_map(threads: int):
-    if threads <= 1:
-        return lambda fn, items: [fn(item) for item in items]
-
-    def mapper(fn, items):
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-
-    return mapper
-
-
 def write_csv(path: Path, rows: list[ResultRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -219,11 +208,9 @@ def _environment() -> dict:
     }
 
 
-def write_manifest(path: Path, config: ExperimentConfig, rows: list[ResultRow], wall_time: float) -> None:
-    diverged = {
-        ":".join(str(part) for part in (row.family or "-", row.weight_mode or "-", row.v, row.statistic)): row.diverged
-        for row in rows if row.diverged
-    }
+def write_manifest(
+    path: Path, config: ExperimentConfig, rows: list[ResultRow], cells: list[dict], wall_time: float
+) -> None:
     manifest = {
         "experiment": config.experiment,
         "config": config.as_manifest_dict(),
@@ -231,7 +218,7 @@ def write_manifest(path: Path, config: ExperimentConfig, rows: list[ResultRow], 
         "wall_time_s": wall_time,
         "timestamp_unix": time.time(),
         "n_rows": len(rows),
-        "per_cell_diverged": diverged,
+        "cells": cells,
         "environment": _environment(),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -246,12 +233,12 @@ def run(config: ExperimentConfig) -> int:
         print(f"error: cannot write output: output directory {out.parent} does not exist", file=sys.stderr)
         return 2
     started = time.monotonic()
-    rows = EXPERIMENTS[config.experiment](config, parallel_map=_parallel_map(config.threads))
+    rows, cells = run_cells(config)
     mc_rows = [r for r in rows if r.seeds]
     failed = [r for r in mc_rows if r.diverged is not None and r.diverged >= r.seeds]
     try:
         write_csv(out, rows)
-        write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config, rows, time.monotonic() - started)
+        write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config, rows, cells, time.monotonic() - started)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

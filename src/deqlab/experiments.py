@@ -1,14 +1,17 @@
-"""Experiment drivers behind the command line: each produces tidy result rows.
+"""Experiments behind the command line: cells that each produce tidy result rows.
 
-Grids are in delta (distance to threshold) for fig1 and the moments dump, and
-in sqrt(V) for fig2/fig3/fig4.  Every cell derives its random streams from
-(seed, family, grid index, replicate), so results are independent of
-execution order and thread count.
+Each experiment is a list of cells and a function from one cell to its rows;
+``run_cells`` runs every cell of a config.  Grids are in delta (distance to
+threshold) for fig1 and the moments dump, and in sqrt(V) for fig2/fig3/fig4.
+Every cell derives its random streams from (seed, family, grid index,
+replicate), so results are independent of execution order and thread count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
@@ -96,6 +99,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
     if steps < 1 or hi < lo:
         raise ValueError(f"grid needs steps >= 1 and hi >= lo, got {text!r}")
     if steps == 1:
+        if hi > lo:
+            raise ValueError(f"a one-step grid is lo:lo:1, got {text!r}")
         return (lo,)
     if len(parts) == 4 and lo <= 0:
         raise ValueError("log grid requires lo > 0")
@@ -152,18 +157,13 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# fig1, fig2, fig3: one row per (family, grid point)
+# fig1, fig2, fig3: one row per (family, grid index, grid point) cell
 # ---------------------------------------------------------------------------
 
 
-def run_sweep(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
-    """fig1 (grid in delta) and fig2/fig3 (grid in sqrt(V)), family-major."""
-    if config.experiment == "fig1":
-        cell, grid = length_variance_cell, config.grid or DEFAULT_FIG1_DELTAS
-    else:
-        cell, grid = fixed_point_cell, config.grid or DEFAULT_SQRT_V_GRID
-    cells = [(family, gi, float(g)) for family in config.families for gi, g in enumerate(grid)]
-    return list(parallel_map(lambda c: cell(config, *c), cells))
+def _sweep_cells(default_grid):
+    """Family-major (family, grid index, grid point) cells over the config's grid."""
+    return lambda config: [(f, gi, float(g)) for f in config.families for gi, g in enumerate(config.grid or default_grid)]
 
 
 def _emp_columns(values) -> dict:
@@ -171,7 +171,7 @@ def _emp_columns(values) -> dict:
     return {f"emp_{name}": value for name, value in asdict(numerics.summarize(values)).items()} if len(values) else {}
 
 
-def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delta: float) -> ResultRow:
+def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delta: float) -> list[ResultRow]:
     """fig1: tied length variance against the closed form."""
     v = delta_to_scale(family, WeightMode.TIED, delta)
     values, n_diverged = estimate_length_variance(
@@ -182,22 +182,12 @@ def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delt
         base_seed=config.seed,
         grid_label=gi,
     )
-    return ResultRow(
-        experiment="fig1",
-        statistic="length_variance_T",
-        family=family.value,
-        weight_mode=WeightMode.TIED.value,
-        v=v,
-        delta=delta,
-        n=config.n,
-        seeds=config.seeds,
-        theory=length_variance_theory(family, WeightMode.TIED, v),
-        diverged=n_diverged,
-        **_emp_columns(values),
-    )
+    common = dict(family=family.value, weight_mode=WeightMode.TIED.value, v=v, delta=delta, n=config.n, seeds=config.seeds)
+    theory = length_variance_theory(family, WeightMode.TIED, v)
+    return [ResultRow("fig1", "length_variance_T", theory=theory, diverged=n_diverged, **common, **_emp_columns(values))]
 
 
-def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: float) -> ResultRow:
+def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: float) -> list[ResultRow]:
     """fig2 and fig3: per seed, draw W and x and solve for h*.
 
     fig2 keeps ``|h*|^2 / N`` against the self-consistent variance; fig3 the
@@ -222,18 +212,8 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
         return float(h @ h) / config.n if config.experiment == "fig2" else radius_empirical(w, h, phi)
 
     values, n_diverged = over_seeds(measure, config.seed, family, gi, config.seeds)
-    return ResultRow(
-        experiment=config.experiment,
-        statistic=statistic,
-        family=family.value,
-        v=v,
-        sqrt_v=sqrt_v,
-        n=config.n,
-        seeds=config.seeds,
-        theory=theory,
-        diverged=n_diverged,
-        **_emp_columns(values),
-    )
+    common = dict(family=family.value, v=v, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds, diverged=n_diverged)
+    return [ResultRow(config.experiment, statistic, theory=theory, **common, **_emp_columns(values))]
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +221,23 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
 # ---------------------------------------------------------------------------
 
 
-def run_fig4(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
-    """Default grid: 0.8x to 1.3x each family's predicted critical sqrt(V).
+def residual_cell(config: ExperimentConfig, family: Family) -> list[ResultRow]:
+    """One family's grid, stepped as one stack per replicate.
 
+    Default grid: 0.8x to 1.3x the family's predicted critical sqrt(V).
     ``diverged`` counts the replicates whose probe residual exceeds 1e-3.
     The residuals are clipped, so ``emp_stderr`` stays empty.
     """
     phi = NONLINEARITIES[config.phi]
-
-    def one_family(family: Family) -> list[ResultRow]:
-        predicted = predict_critical_v(family, phi)
-        grid = [float(g) for g in config.grid or [predicted * m for m in np.linspace(0.8, 1.3, 11)]]
-        residuals = residual_sweep(family, grid, config.n, config.seeds, phi=phi, base_seed=config.seed)
-        return [
-            ResultRow(
-                experiment="fig4",
-                statistic="residual_at_probe",
-                family=family.value,
-                v=sqrt_v**2,
-                sqrt_v=sqrt_v,
-                n=config.n,
-                seeds=config.seeds,
-                theory=predicted,
-                diverged=int(np.sum(row > 1e-3)),
-                **(_emp_columns(row) | {"emp_stderr": None}),
-            )
-            for sqrt_v, row in zip(grid, residuals)
-        ]
-
-    return [row for rows in parallel_map(one_family, config.families) for row in rows]
+    predicted = predict_critical_v(family, phi)
+    grid = [float(g) for g in config.grid or [predicted * m for m in np.linspace(0.8, 1.3, 11)]]
+    residuals = residual_sweep(family, grid, config.n, config.seeds, phi=phi, base_seed=config.seed)
+    common = dict(family=family.value, n=config.n, seeds=config.seeds, theory=predicted)
+    return [
+        ResultRow("fig4", "residual_at_probe", v=sqrt_v**2, sqrt_v=sqrt_v, diverged=int(np.sum(row > 1e-3)),
+                  **common, **(_emp_columns(row) | {"emp_stderr": None}))
+        for sqrt_v, row in zip(grid, residuals)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,35 +252,26 @@ MOMENT_THEORIES = (
 )
 
 
-def run_moments(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
+def _moment_cells(config: ExperimentConfig) -> list[tuple]:
+    """(family, weight mode, grid index, delta) cells, family-major."""
+    modes = (WeightMode.TIED, WeightMode.UNTIED) if config.weight_mode == "both" else (WeightMode(config.weight_mode),)
     grid = config.grid or DEFAULT_FIG1_DELTAS
-    if config.weight_mode == "both":
-        weight_modes = (WeightMode.TIED, WeightMode.UNTIED)
-    else:
-        weight_modes = (WeightMode(config.weight_mode),)
-    cells = [
-        (family, mode, gi, float(delta))
-        for family in config.families
-        for mode in weight_modes
-        for gi, delta in enumerate(grid)
-    ]
+    return [(f, mode, gi, float(delta)) for f in config.families for mode in modes for gi, delta in enumerate(grid)]
 
-    def one(cell) -> list[ResultRow]:
-        family, mode, gi, delta = cell
-        v = delta_to_scale(family, mode, delta)
-        common = dict(experiment="moments", family=family.value, weight_mode=mode.value, v=v, delta=delta, n=config.n)
-        out = [ResultRow(statistic=name, theory=theory(family, mode, v), **common) for name, theory in MOMENT_THEORIES]
-        if config.seeds > 0:
-            spec = EnsembleSpec(family, config.n, v)
-            samples = (
-                estimate_moments(spec, mode, config.seeds, config.seed, grid_label=gi),
-                estimate_length_variance(spec, mode, config.seeds, config.estimator, config.seed, grid_label=gi),
-            )
-            for i, (values, n_diverged) in enumerate(samples):
-                out[i] = replace(out[i], seeds=config.seeds, diverged=n_diverged, **_emp_columns(values))
-        return out
 
-    return [row for rows in parallel_map(one, cells) for row in rows]
+def moment_cell(config: ExperimentConfig, family: Family, mode: WeightMode, gi: int, delta: float) -> list[ResultRow]:
+    v = delta_to_scale(family, mode, delta)
+    common = dict(experiment="moments", family=family.value, weight_mode=mode.value, v=v, delta=delta, n=config.n)
+    out = [ResultRow(statistic=name, theory=theory(family, mode, v), **common) for name, theory in MOMENT_THEORIES]
+    if config.seeds > 0:
+        spec = EnsembleSpec(family, config.n, v)
+        samples = (
+            estimate_moments(spec, mode, config.seeds, config.seed, grid_label=gi),
+            estimate_length_variance(spec, mode, config.seeds, config.estimator, config.seed, grid_label=gi),
+        )
+        for i, (values, n_diverged) in enumerate(samples):
+            out[i] = replace(out[i], seeds=config.seeds, diverged=n_diverged, **_emp_columns(values))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +279,7 @@ def run_moments(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 
 
-def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
+def freeprob_check_cell(config: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     n = config.n
 
@@ -399,21 +358,19 @@ def run_freeprob_check(config: ExperimentConfig, parallel_map=map) -> list[Resul
 
 
 # ---------------------------------------------------------------------------
-# train-probe: gradient descent from each seed's draw, per (family, sqrt(V))
+# train-probe: gradient descent from each seed's draw, per (family, sqrt(V)) cell
 # ---------------------------------------------------------------------------
 
 
-def run_train_probe(config: ExperimentConfig, parallel_map=map) -> list[ResultRow]:
-    """Families in name order, then sqrt(V) ascending; three rows per cell."""
-    grid = config.grid or (0.05, 0.3, 0.6, 0.9, 1.2)
-    cells = [(family, float(sqrt_v)) for family in sorted(config.families) for sqrt_v in grid]
-    return [row for rows in parallel_map(lambda c: train_cell(config, *c), cells) for row in rows]
+def _train_cells(config: ExperimentConfig) -> list[tuple]:
+    """(family, sqrt(V)) cells: families in name order, then sqrt(V) ascending."""
+    return [(f, float(sqrt_v)) for f in sorted(config.families) for sqrt_v in config.grid or (0.05, 0.3, 0.6, 0.9, 1.2)]
 
 
 def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[ResultRow]:
     """Descend from each seed's (W, v), drawn alike at every sqrt(V); the loss
-    and the steps to half loss are over the runs that did not diverge, and
-    every row's ``diverged`` is the count of runs that did."""
+    and the steps to half loss are over the runs that did not diverge (empty
+    when none is left), and every row's ``diverged`` is the count of runs that did."""
     xs, ys = probe_dataset(config.seed + 1, config.dataset_size, config.n)
     spec = EnsembleSpec(family, config.n, sqrt_v * sqrt_v)
 
@@ -425,19 +382,51 @@ def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[
     hits = [hit for _, hit in alive if hit is not None]
     stats = {
         "divergence_rate": n_diverged / config.seeds,
-        "mean_final_train_loss": float(np.mean([loss for loss, _ in alive])) if alive else math.inf,
+        "mean_final_train_loss": float(np.mean([loss for loss, _ in alive])) if alive else None,
         "median_steps_to_half_loss": float(np.median(hits)) if hits else None,
     }
     common = dict(family=family.value, v=sqrt_v**2, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds, diverged=n_diverged)
     return [ResultRow("train-probe", name, emp_mean=value, **common) for name, value in stats.items()]
 
 
+# experiment -> (config -> its cells, (config, *cell) -> the cell's rows); rows
+# come out in cell order
 EXPERIMENTS = {
-    "fig1": run_sweep,
-    "fig2": run_sweep,
-    "fig3": run_sweep,
-    "fig4": run_fig4,
-    "moments": run_moments,
-    "freeprob-check": run_freeprob_check,
-    "train-probe": run_train_probe,
+    "fig1": (_sweep_cells(DEFAULT_FIG1_DELTAS), length_variance_cell),
+    "fig2": (_sweep_cells(DEFAULT_SQRT_V_GRID), fixed_point_cell),
+    "fig3": (_sweep_cells(DEFAULT_SQRT_V_GRID), fixed_point_cell),
+    "fig4": (lambda config: [(family,) for family in config.families], residual_cell),
+    "moments": (_moment_cells, moment_cell),
+    "freeprob-check": (lambda config: [()], freeprob_check_cell),
+    "train-probe": (_train_cells, train_cell),
 }
+
+
+def run_cells(config: ExperimentConfig) -> tuple[list[ResultRow], list[dict]]:
+    """Every cell of the config's experiment: the rows in cell order, and per cell
+    ``{"cell": label, "wall_s": seconds, "diverged": {statistic: count}}``.
+
+    ``config.threads`` cells run at once; with one thread they run in the
+    calling thread.  A statistic's count sums ``diverged`` over the cell's rows
+    (fig4's cell has one row per grid scale); rows without the column are left out.
+    """
+    cells_of, cell_rows = EXPERIMENTS[config.experiment]
+    cells = cells_of(config)
+
+    def run_cell(cell) -> tuple[list[ResultRow], dict]:
+        started = time.monotonic()
+        rows = cell_rows(config, *cell)
+        wall_s = time.monotonic() - started
+        diverged: dict[str, int] = {}
+        for row in rows:
+            if row.diverged is not None:
+                diverged[row.statistic] = diverged.get(row.statistic, 0) + row.diverged
+        label = ":".join(str(getattr(part, "value", part)) for part in cell)
+        return rows, {"cell": label, "wall_s": wall_s, "diverged": diverged}
+
+    if config.threads == 1:
+        results = [run_cell(cell) for cell in cells]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(run_cell, cells))
+    return [row for rows, _ in results for row in rows], [record for _, record in results]

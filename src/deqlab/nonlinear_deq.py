@@ -111,7 +111,8 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
 
     Models ``h_i ~ N(0, s)`` with inputs of coordinate variance SIGMA_X_SQ
     and damps ``s <- s + (V (E[phi(h)^2] + SIGMA_X_SQ) - s) / 2`` until the
-    update falls to 1e-10, within 10,000 steps.  The 0/1 gates read their
+    update falls to 1e-10 times max(1, s), within 10,000 steps: at large V an
+    absolute 1e-10 sits below the float spacing of s.  The 0/1 gates read their
     Gaussian moments in closed form; other maps go through quadrature.
     """
     if v < 0:
@@ -126,7 +127,7 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
         sig_phi = closed(s)[0] if closed else numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
         target = v * (sig_phi + SIGMA_X_SQ)
         residual = abs(target - s)
-        if residual <= 1e-10:
+        if residual <= 1e-10 * max(1.0, s):
             p = closed(s)[1] if closed else numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
             return SelfConsistentState(s, sig_phi, p, v, it, residual)
         delta = 0.5 * (target - s)

@@ -2,8 +2,8 @@
 
 Each test prints a single ``criterion NN PASS|FAIL (elapsed)`` line with the
 key measured numbers, then asserts.  Run with ``pytest tests/test_acceptance.py
--v -s`` to watch the lines appear; the whole suite is sized for roughly
-three-quarters of an hour on one core.
+-v -s`` to watch the lines appear; the whole suite takes about 12 minutes on
+one core.
 """
 
 import math
@@ -29,8 +29,7 @@ from deqlab.experiments import (
     ALL_FAMILIES,
     DEFAULT_FIG1_DELTAS,
     ExperimentConfig,
-    run_fig4,
-    run_sweep,
+    run_cells,
 )
 from deqlab.linear_deq import check_convergence_bound, estimate_moments
 from deqlab.nonlinear_deq import (
@@ -101,7 +100,7 @@ def test_criterion_02_divergence_exponents_and_edge_ratio():
 def test_criterion_03_length_variance_sweep():
     started = time.monotonic()
     config = ExperimentConfig("fig1", n=2000, seeds=5, seed=0, families=ALL_FAMILIES, grid=DEFAULT_FIG1_DELTAS)
-    rows = {(r.family, round(r.delta, 6)): r for r in run_sweep(config)}
+    rows = {(r.family, round(r.delta, 6)): r for r in run_cells(config)[0]}
     ok = True
     details = []
     for delta in DEFAULT_FIG1_DELTAS:
@@ -148,7 +147,7 @@ def test_criterion_04_goe_second_moment_arbitration():
 def test_criterion_05_preactivation_variance_sweep():
     started = time.monotonic()
     config = ExperimentConfig("fig2", n=1000, seeds=20, seed=0, families=ALL_FAMILIES)
-    rows = run_sweep(config)
+    rows = run_cells(config)[0]
     ok = True
     worst = 0.0
     exceed = 0
@@ -175,7 +174,7 @@ def test_criterion_05_preactivation_variance_sweep():
 def test_criterion_06_spectral_radius_sweep():
     started = time.monotonic()
     config = ExperimentConfig("fig3", n=1000, seeds=20, seed=0, families=ALL_FAMILIES)
-    rows = run_sweep(config)
+    rows = run_cells(config)[0]
     ok = True
     details = []
     for row in rows:
@@ -203,7 +202,7 @@ def test_criterion_06_spectral_radius_sweep():
 def test_criterion_07_residual_transition():
     started = time.monotonic()
     config = ExperimentConfig("fig4", n=1000, seeds=100, seed=0, families=ALL_FAMILIES)
-    rows = run_fig4(config)
+    rows = run_cells(config)[0]
     ok = True
     details = []
     for family in ("random", "orthogonal", "goe"):

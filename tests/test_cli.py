@@ -23,7 +23,7 @@ class TestParseGrid:
         assert parse_grid("0.5:0.5:1") == (0.5,)
 
     def test_bad_forms(self):
-        for bad in ("0.1:0.5", "0.5:0.1:3", "a:b:3", "0:1:3:exp", "-1:1:3:log"):
+        for bad in ("0.1:0.5", "0.5:0.1:3", "a:b:3", "0:1:3:exp", "-1:1:3:log", "0.1:0.9:1"):
             with pytest.raises(ValueError):
                 parse_grid(bad)
 
@@ -185,7 +185,35 @@ class TestCliRuns:
             m.pop("wall_time_s")
             m.pop("timestamp_unix")
             m["config"].pop("out")
+            for record in m["cells"]:
+                record.pop("wall_s")
         assert manifests[0] == manifests[1]
+
+    def test_manifest_records_every_cell(self, tmp_path):
+        # two families x two grid points: one record per cell, in row order
+        records = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"fig2-{threads}.csv"
+            args = ["fig2", "--n", "40", "--seeds", "2", "--grid", "0.3:0.6:2", "--families", "random,goe",
+                    "--threads", threads, "--out", str(out)]
+            assert _run_cli(args) == 0
+            cells = json.loads(out.with_suffix(".csv.manifest.json").read_text())["cells"]
+            assert len(cells) == len(_rows(out)) == 4
+            assert all(set(record) == {"cell", "wall_s", "diverged"} and record["wall_s"] >= 0 for record in cells)
+            records.append([(record["cell"], record["diverged"]) for record in cells])
+        assert records[0] == records[1]
+        assert [label for label, _ in records[0]] == ["random:0:0.3", "random:1:0.6", "goe:0:0.3", "goe:1:0.6"]
+        assert all(set(diverged) == {"sigma_h_sq"} for _, diverged in records[0])
+
+    def test_manifest_sums_fig4_diverged_over_the_grid(self, tmp_path):
+        # fig4's cell is one family; its record sums the diverged column over the grid scales
+        out = tmp_path / "fig4.csv"
+        args = ["fig4", "--n", "60", "--seeds", "3", "--grid", "0.3:1.2:3", "--families", "orthogonal",
+                "--phi", "identity", "--out", str(out)]
+        assert _run_cli(args) == 0
+        (record,) = json.loads(out.with_suffix(".csv.manifest.json").read_text())["cells"]
+        assert record["cell"] == "orthogonal"
+        assert record["diverged"] == {"residual_at_probe": sum(int(row["diverged"]) for row in _rows(out))}
 
     def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -218,10 +246,10 @@ class TestCliRuns:
         assert _run_cli(["moments", "--grid", "0.5:0.5:1", "--out", str(missing_dir)]) == 2
 
     def test_missing_output_directory_fails_before_running(self, tmp_path, monkeypatch, capsys):
-        def must_not_run(config, parallel_map):
+        def must_not_run(*args):
             pytest.fail("the experiment ran before the output directory was checked")
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig2", must_not_run)
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig2", (must_not_run, must_not_run))
         out = tmp_path / "nodir" / "t.csv"
         args = ["fig2", "--n", "40", "--seeds", "2", "--grid", "0.3:0.3:1", "--families", "random"]
         assert _run_cli([*args, "--out", str(out)]) == 2
@@ -396,8 +424,9 @@ class TestCliRuns:
         assert _run_cli(args) == 3
         assert "every cell diverged" in capsys.readouterr().err
         assert all(row["diverged"] == "3" for row in _rows(out))
-        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
-        assert len(manifest["per_cell_diverged"]) == 9 and set(manifest["per_cell_diverged"].values()) == {3}
+        cells = json.loads(out.with_suffix(".csv.manifest.json").read_text())["cells"]
+        assert len(cells) == 3 and all(set(record["diverged"].values()) == {3} for record in cells)
+        assert all(len(record["diverged"]) == 3 for record in cells)
 
     @pytest.mark.parametrize("experiment", [["fig1"], ["moments", "--weight-mode", "tied"]], ids=["fig1", "moments"])
     def test_every_seed_singular_exits_3(self, experiment, tmp_path, monkeypatch, capsys):
@@ -501,6 +530,21 @@ class TestCliRuns:
         # 3 families x 2 weight modes x 9 deltas x 3 quantities
         assert len(rows) == 162
         assert min(float(r["delta"]) for r in rows) == 0.05
+
+    def test_one_step_grid_with_two_ends_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert _run_cli(["fig2", "--grid", "0.1:0.9:1", "--out", str(out)]) == 1
+        assert "config error: bad value for 'grid': a one-step grid is lo:lo:1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_scalar_solve_at_large_scale(self, experiment, tmp_path):
+        # at sqrt(V) = 1e5 (s about 2e10) an absolute 1e-10 residual lies below the float spacing of s
+        out = tmp_path / "big.csv"
+        args = [experiment, "--n", "20", "--seeds", "2", "--grid", "100000:100000:1", "--out", str(out)]
+        assert _run_cli(args) == 0
+        rows = _rows(out)
+        assert len(rows) == 3 and all(math.isfinite(float(row["theory"])) for row in rows)
 
     def test_moments_one_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "m.csv"

@@ -1,7 +1,7 @@
 """Golden CSVs: every experiment at tiny size against committed output.
 
 The files under ``tests/golden/`` were written by the command-line runs in
-``RUNS``.  Text and integer cells must match exactly; float cells to 1e-12
+``RUNS``, which run every experiment at least once.  Text and integer cells must match exactly; float cells to 1e-12
 relative, so that a different BLAS build does not fail the check.  Two runs
 pin diverged cells, whatever the low-order bits: in ``fig2-unsettled`` no tanh
 seed settles at sqrt(V)=3, so those rows keep no ``emp_*`` value; in
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from deqlab import cli
+from deqlab.experiments import EXPERIMENTS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -36,6 +37,10 @@ RUNS = {
     "train-probe-diverged": ["train-probe", "--n", "12", "--seeds", "3", "--grid", "0.3:1.3:3",
                              "--phi", "identity", "--steps", "0"],
 }
+
+
+def test_runs_cover_every_experiment():
+    assert {argv[0] for argv in RUNS.values()} == set(EXPERIMENTS)
 
 
 def _read(path: Path) -> list[list[str]]:
