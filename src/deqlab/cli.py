@@ -169,8 +169,8 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
     reads_estimator = config.experiment == "fig1" or (
         config.experiment == "moments" and config.weight_mode != "untied" and config.seeds > 0
     )
-    if config.estimator == "hutchinson" and not reads_estimator:
-        errors.append("estimator hutchinson applies only to tied length-variance cells (fig1, moments tied or both)")
+    if "estimator" in raw and not reads_estimator:
+        errors.append(f"estimator {config.estimator} applies only to tied length-variance cells (fig1, moments tied or both)")
     if config.experiment in ("fig3", "fig4") and Family.GOE in config.families and config.phi not in ZERO_ONE_GATES:
         errors.append(f"{config.experiment} on goe needs phi {' or '.join(ZERO_ONE_GATES)} (a 0/1 gate), got {config.phi!r}")
     if config.experiment in ("fig2", "fig3") and config.phi == "identity" and config.grid is not None:

@@ -3,8 +3,11 @@
 Each experiment is a list of cells and a function from one cell to its rows;
 ``run_cells`` runs every cell of a config.  Grids are in delta (distance to
 threshold) for fig1 and the moments dump, and in sqrt(V) for fig2/fig3/fig4.
-Every cell derives its random streams from (seed, family, grid index,
-replicate), so results are independent of execution order and thread count.
+Every Monte-Carlo cell runs its replicates through ``ensembles.over_seeds``,
+which derives each stream from (seed, family, label, replicate), and this
+module picks every label: the grid index for fig1-fig3 and moments, 7 for
+fig4, 11 for train-probe, 21 and 22 for freeprob-check.  Results are
+therefore independent of execution order and thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .analytic_moments import (
     variance_factor_theory,
 )
 from .ensembles import EnsembleSpec, Family, over_seeds, sample, seed_for
-from .linear_deq import estimate_length_variance, estimate_moments
+from .linear_deq import length_variance, variance_factor
 from .nonlinear_deq import (
     NONLINEARITIES,
     SIGMA_X_SQ,
@@ -174,14 +178,8 @@ def _emp_columns(values) -> dict:
 def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delta: float) -> list[ResultRow]:
     """fig1: tied length variance against the closed form."""
     v = delta_to_scale(family, WeightMode.TIED, delta)
-    values, n_diverged = estimate_length_variance(
-        EnsembleSpec(family, config.n, v),
-        WeightMode.TIED,
-        config.seeds,
-        estimator_mode=config.estimator,
-        base_seed=config.seed,
-        grid_label=gi,
-    )
+    measure = partial(length_variance, EnsembleSpec(family, config.n, v), WeightMode.TIED, estimator=config.estimator)
+    values, n_diverged = over_seeds(measure, config.seed, family, gi, config.seeds)
     common = dict(family=family.value, weight_mode=WeightMode.TIED.value, v=v, delta=delta, n=config.n, seeds=config.seeds)
     theory = length_variance_theory(family, WeightMode.TIED, v)
     return [ResultRow("fig1", "length_variance_T", theory=theory, diverged=n_diverged, **common, **_emp_columns(values))]
@@ -231,7 +229,9 @@ def residual_cell(config: ExperimentConfig, family: Family) -> list[ResultRow]:
     phi = NONLINEARITIES[config.phi]
     predicted = predict_critical_v(family, phi)
     grid = [float(g) for g in config.grid or [predicted * m for m in np.linspace(0.8, 1.3, 11)]]
-    residuals = residual_sweep(family, grid, config.n, config.seeds, phi=phi, base_seed=config.seed)
+    # every grid point of a replicate shares its draw, under the cell's one label 7
+    columns, _ = over_seeds(partial(residual_sweep, family, grid, config.n, phi=phi), config.seed, family, 7, config.seeds)
+    residuals = np.ascontiguousarray(np.transpose(columns))  # one row per grid scale
     common = dict(family=family.value, n=config.n, seeds=config.seeds, theory=predicted)
     return [
         ResultRow("fig4", "residual_at_probe", v=sqrt_v**2, sqrt_v=sqrt_v, diverged=int(np.sum(row > 1e-3)),
@@ -265,11 +265,9 @@ def moment_cell(config: ExperimentConfig, family: Family, mode: WeightMode, gi: 
     out = [ResultRow(statistic=name, theory=theory(family, mode, v), **common) for name, theory in MOMENT_THEORIES]
     if config.seeds > 0:
         spec = EnsembleSpec(family, config.n, v)
-        samples = (
-            estimate_moments(spec, mode, config.seeds, config.seed, grid_label=gi),
-            estimate_length_variance(spec, mode, config.seeds, config.estimator, config.seed, grid_label=gi),
-        )
-        for i, (values, n_diverged) in enumerate(samples):
+        measures = (partial(variance_factor, spec, mode), partial(length_variance, spec, mode, estimator=config.estimator))
+        for i, measure in enumerate(measures):
+            values, n_diverged = over_seeds(measure, config.seed, family, gi, config.seeds)
             out[i] = replace(out[i], seeds=config.seeds, diverged=n_diverged, **_emp_columns(values))
     return out
 

@@ -1,12 +1,12 @@
-"""Linear equilibrium layer: exact solutions, iteration, and Monte-Carlo
-estimators for every statistic the closed forms predict.
+"""Linear equilibrium layer: exact solutions, iteration, and the one-draw
+measurements behind every statistic the closed forms predict.
 
-The fixed point of ``z = W z + x`` is ``z* = (I - W)^{-1} x``; statistics are
-averaged over matrix seeds with streams derived from
-(base_seed, family, grid label, replicate), so sweeps are reproducible and
-parallelizable.  A seed whose matrix is singular to tolerance or whose
-iteration overflows is left out and counted as diverged (``over_seeds``), even
-when every seed fails: near threshold, divergence is the phenomenon under study.
+The fixed point of ``z = W z + x`` is ``z* = (I - W)^{-1} x``.  Each
+measurement takes one seed and draws from it alone; the caller picks the seeds
+and averages over them.  A draw whose matrix is singular to tolerance raises
+SingularMatrixError and one whose iteration overflows returns None, so the
+caller can count it as diverged: near threshold, divergence is the phenomenon
+under study.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .analytic_moments import WeightMode, check_subcritical
-from .ensembles import EnsembleSpec, SeedDerivation, over_seeds, sample
+from .ensembles import EnsembleSpec, SeedDerivation, sample
 
 
 def solve_closed_form(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -79,73 +79,50 @@ def untied_truncation_depth(v: float) -> int:
     return max(1, math.ceil(math.log(1e-6) / math.log(v)))
 
 
-def estimate_moments(
-    spec: EnsembleSpec, mode: WeightMode, n_seeds: int, base_seed: int = 0, grid_label: int = 0
-) -> tuple[list[float], int]:
-    """Monte-Carlo variance factor ``N Var[z*_i] / (x.x)`` over matrix seeds,
-    for the all-ones input x; returns the values and the failed-seed count of
-    ``over_seeds``.
+def variance_factor(spec: EnsembleSpec, mode: WeightMode, seed: SeedDerivation) -> float | None:
+    """One draw's variance factor ``N Var[z*_i] / (x.x)`` for the all-ones
+    input x; None when the iterate overflows.
 
     Uses the identity ``N Var[z*_i] = E[z*.z*] - x.x`` (mean is x), so each
-    seed contributes the self-averaging statistic ``(z*.z* - x.x)/(x.x)``.
-    Untied mode propagates to the truncation depth instead of solving.  A
-    seed fails when its matrix is singular or its iterate overflows.  A scale
-    at or beyond the critical one raises CriticalScaleError before any draw.
+    draw gives the self-averaging statistic ``(z*.z* - x.x)/(x.x)``.  Untied
+    mode propagates to the truncation depth instead of solving; a singular
+    tied matrix raises SingularMatrixError.  A scale at or beyond the critical
+    one raises CriticalScaleError before the draw.
     """
-    if n_seeds < 2:
-        raise ValueError("need at least 2 seeds")
     mode = WeightMode(mode)
     check_subcritical(spec.family, mode, spec.scale)
     x = np.ones(spec.dim)
     xx = float(x @ x)
-    t_stop = untied_truncation_depth(spec.scale) if mode is WeightMode.UNTIED else 0
-
-    def measure(seed: SeedDerivation) -> float | None:
-        if mode is WeightMode.TIED:
-            z = solve_closed_form(sample(spec, seed), x)
-        else:
-            z = iterate_untied(spec, x, t_stop, seed)
-        return (float(z @ z) - xx) / xx if np.all(np.isfinite(z)) else None
-
-    return over_seeds(measure, base_seed, spec.family, grid_label, n_seeds)
+    if mode is WeightMode.TIED:
+        z = solve_closed_form(sample(spec, seed), x)
+    else:
+        z = iterate_untied(spec, x, untied_truncation_depth(spec.scale), seed)
+    return (float(z @ z) - xx) / xx if np.all(np.isfinite(z)) else None
 
 
-def estimate_length_variance(
-    spec: EnsembleSpec,
-    weight_mode: WeightMode,
-    n_seeds: int,
-    estimator_mode: str = "exact",
-    base_seed: int = 0,
-    grid_label: int = 0,
-    n_probes: int = 32,
-) -> tuple[list[float], int]:
-    """Monte-Carlo fourth-moment factor ``tr[(M^T M)^2] / N`` over seeds;
-    a seed fails when its matrix is singular (see ``estimate_moments``).
+def length_variance(spec: EnsembleSpec, mode: WeightMode, seed: SeedDerivation, estimator: str = "exact") -> float:
+    """One draw's fourth-moment factor ``tr[(M^T M)^2] / N``; a singular tied
+    matrix raises SingularMatrixError.
 
-    Tied: M = (I - W)^{-1}, per-seed trace exact or Hutchinson.  Untied: the
-    summed product truncated where the scale bias drops below 1e-6, then the
-    exact normalized trace.  Single-seed values are heavy-tailed near
-    threshold for the non-orthogonal families, so callers report the median
-    and quartiles alongside the mean.  A scale at or beyond the critical one
-    raises CriticalScaleError before any draw.
+    Tied: M = (I - W)^{-1}, the trace exact or Hutchinson (32 probes from the
+    stream ``seed.child(10_001)``).  Untied: the summed product truncated where
+    the scale bias drops below 1e-6, then the exact normalized trace.  Values
+    are heavy-tailed near threshold for the non-orthogonal families, so callers
+    report the median and quartiles alongside the mean.  A scale at or beyond
+    the critical one raises CriticalScaleError before the draw.
     """
-    weight_mode = WeightMode(weight_mode)
-    if estimator_mode not in ("exact", "hutchinson"):
-        raise ValueError(f"unknown estimator mode {estimator_mode!r}")
-    check_subcritical(spec.family, weight_mode, spec.scale)
-    t_stop = untied_truncation_depth(spec.scale) if weight_mode is WeightMode.UNTIED else 0
-
-    def measure(seed: SeedDerivation) -> float:
-        if weight_mode is WeightMode.UNTIED:
-            m = untied_propagator(spec, seed, t_stop)
-            gram = m.T @ m
-            return float(np.sum(gram * gram)) / spec.dim
-        a = np.eye(spec.dim) - sample(spec, seed)
-        if estimator_mode == "exact":
-            return numerics.gram_inverse_sq_trace(a)
-        return numerics.gram_inverse_sq_trace_hutchinson(a, n_probes=n_probes, rng=seed.child(10_001).generator())[0]
-
-    return over_seeds(measure, base_seed, spec.family, grid_label, n_seeds)
+    mode = WeightMode(mode)
+    if estimator not in ("exact", "hutchinson"):
+        raise ValueError(f"unknown estimator mode {estimator!r}")
+    check_subcritical(spec.family, mode, spec.scale)
+    if mode is WeightMode.UNTIED:
+        m = untied_propagator(spec, seed, untied_truncation_depth(spec.scale))
+        gram = m.T @ m
+        return float(np.sum(gram * gram)) / spec.dim
+    a = np.eye(spec.dim) - sample(spec, seed)
+    if estimator == "exact":
+        return numerics.gram_inverse_sq_trace(a)
+    return numerics.gram_inverse_sq_trace_hutchinson(a, seed.child(10_001).generator())[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .ensembles import EnsembleSpec, Family, over_seeds, sample
+from .ensembles import EnsembleSpec, Family, SeedDerivation, sample
 
 _RESIDUAL_CLIP = 1e6
 _CONVERGE_FLOOR = 1e-12  # residual at which the fig4 probe stops a scale
@@ -280,42 +280,27 @@ def residual_sweep(
     family: Family,
     sqrt_v_grid,
     n: int,
-    n_seeds: int,
+    seed: SeedDerivation,
     t_probe: int = 500,
     phi: Nonlinearity = HARD_TANH,
-    base_seed: int = 0,
 ) -> np.ndarray:
-    """Step-norm residual after t_probe iterations, one row per sqrt(V) of
-    the grid and one column per replicate.
+    """Step-norm residual after t_probe iterations of one draw, one entry per
+    sqrt(V) of the grid.
 
-    Inputs have i.i.d. N(0, SIGMA_X_SQ) coordinates.  Each replicate draws one
-    unit-scale base matrix and rescales it across the grid (the sweep probes
-    scale dependence at fixed disorder), so grid points share seeds but each
-    point's marginal law is exact.  Residuals are clipped at 1e6; iteration
-    stops early once the residual falls to 1e-12.
+    The draw is one unit-scale base matrix from ``seed`` and an input with
+    i.i.d. N(0, SIGMA_X_SQ) coordinates from ``seed.child(1)``; the matrix is
+    rescaled across the grid (the sweep probes scale dependence at fixed
+    disorder), so each grid point's marginal law is exact.  The scales share
+    one matrix, so each step is a single product of the states still running
+    (one row per scale) with ``W_unit^T``; a row leaves once it overflows or
+    settles at a residual of 1e-12.  Residuals are clipped at 1e6.
     """
-    family = Family(family)
-    unit = EnsembleSpec(family, n, 1.0)
-
-    def measure(seed) -> np.ndarray:
-        x = seed.child(1).generator().standard_normal(n) * math.sqrt(SIGMA_X_SQ)
-        return _probe_residuals(sample(unit, seed), x, sqrt_v_grid, phi, t_probe)
-
-    columns, _ = over_seeds(measure, base_seed, family, 7, n_seeds)
-    return np.ascontiguousarray(np.reshape(columns, (n_seeds, len(sqrt_v_grid))).T)
-
-
-def _probe_residuals(w_unit, x, sqrt_scales, phi, t_probe):
-    """Probe residual of ``h <- s W_unit (phi(h) + x)`` for every scale s.
-
-    The scales share one matrix, so each step is a single product of the
-    states still running (one row per scale) with ``W_unit^T``; a row leaves
-    once it overflows (residual clipped) or settles.
-    """
-    scales = np.asarray(sqrt_scales, dtype=float)
+    w_unit = sample(EnsembleSpec(family, n, 1.0), seed)
+    x = seed.child(1).generator().standard_normal(n) * math.sqrt(SIGMA_X_SQ)
+    scales = np.asarray(sqrt_v_grid, dtype=float)
     fp = numerics.fixed_point(
         lambda h, rows: ((phi.phi(h) + x) @ w_unit.T) * scales[rows, None],
-        np.zeros((scales.size, x.shape[0])),
+        np.zeros((scales.size, n)),
         t_probe,
         _CONVERGE_FLOOR,
     )

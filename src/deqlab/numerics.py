@@ -158,11 +158,7 @@ def gram_inverse_sq_trace(a: np.ndarray) -> float:
     return float(np.sum(gram_inv * gram_inv) / n)
 
 
-def gram_inverse_sq_trace_hutchinson(
-    a: np.ndarray,
-    n_probes: int = 32,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
+def gram_inverse_sq_trace_hutchinson(a: np.ndarray, rng: np.random.Generator, n_probes: int = 32) -> tuple[float, float]:
     """Stochastic estimate of ``(1/N) tr[((A^T A))^{-2}]`` with its stderr.
 
     Rademacher probes z give unbiased samples ``z^T B^2 z = ||B z||^2`` of the
@@ -171,8 +167,6 @@ def gram_inverse_sq_trace_hutchinson(
     ``2 * (||B^2||_F^2 - sum_i (B^2)_ii^2)`` per probe.
     """
     a = np.asarray(a, dtype=float)
-    if rng is None:
-        rng = np.random.default_rng()
     if n_probes < 2:
         raise ValueError("need at least 2 probes to report a standard error")
     n = a.shape[0]

@@ -24,14 +24,14 @@ from deqlab.analytic_moments import (
     length_variance_theory,
     variance_factor_theory,
 )
-from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
+from deqlab.ensembles import EnsembleSpec, Family, over_seeds, sample, seed_for
 from deqlab.experiments import (
     ALL_FAMILIES,
     DEFAULT_FIG1_DELTAS,
     ExperimentConfig,
     run_cells,
 )
-from deqlab.linear_deq import check_convergence_bound, estimate_moments
+from deqlab.linear_deq import check_convergence_bound, variance_factor
 from deqlab.nonlinear_deq import (
     HARD_TANH,
     IDENTITY,
@@ -127,7 +127,8 @@ def test_criterion_04_goe_second_moment_arbitration():
     n, v, n_seeds = 2000, 0.125, 200
     series_value = 4 * math.sqrt(2) - 5  # corrected Catalan-series sum
     printed_value = -0.7573593128807148  # uncorrected closed form in circulation
-    values, n_diverged = estimate_moments(EnsembleSpec(Family.GOE, n, v), TIED, n_seeds, base_seed=0)
+    spec = EnsembleSpec(Family.GOE, n, v)
+    values, n_diverged = over_seeds(lambda seed: variance_factor(spec, TIED, seed), 0, Family.GOE, 0, n_seeds)
     stats = numerics.summarize(values)
     se = stats.stderr
     near_series = abs(stats.mean - series_value) <= 3 * se

@@ -351,10 +351,12 @@ class TestCliRuns:
         ],
     )
     def test_unread_hutchinson_estimator_rejected(self, args, tmp_path, capsys):
+        # setting the key is the error, whatever its value, the default included
         out = tmp_path / "h.csv"
-        assert _run_cli([*args, "--estimator", "hutchinson", "--n", "8", "--out", str(out)]) == 1
-        assert "config error: estimator hutchinson applies only to" in capsys.readouterr().err
-        assert not out.exists()
+        for estimator in ("hutchinson", "exact"):
+            assert _run_cli([*args, "--estimator", estimator, "--n", "8", "--out", str(out)]) == 1
+            assert f"config error: estimator {estimator} applies only to" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiment, flag, value",

@@ -6,7 +6,8 @@ import pytest
 
 from deqlab import linear_deq as ld
 from deqlab.analytic_moments import CriticalScaleError, WeightMode, length_variance_theory, variance_factor_theory
-from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
+from deqlab import numerics
+from deqlab.ensembles import EnsembleSpec, Family, over_seeds, sample, seed_for
 from deqlab.numerics import SingularMatrixError, summarize
 
 TIED, UNTIED = WeightMode.TIED, WeightMode.UNTIED
@@ -14,6 +15,20 @@ TIED, UNTIED = WeightMode.TIED, WeightMode.UNTIED
 
 def _x(n, seed=123, sigma=1.0):
     return np.random.default_rng(seed).standard_normal(n) * sigma
+
+
+def _over_draws(measure, spec, n_seeds):
+    """Values of measure(seed) over the draws of base seed 0 and grid label 0,
+    as the first cell of a sweep takes them."""
+    return over_seeds(measure, 0, spec.family, 0, n_seeds)[0]
+
+
+def _variance_factors(spec, mode, n_seeds):
+    return _over_draws(functools.partial(ld.variance_factor, spec, mode), spec, n_seeds)
+
+
+def _length_variances(spec, mode, n_seeds):
+    return _over_draws(functools.partial(ld.length_variance, spec, mode), spec, n_seeds)
 
 
 class TestSolveClosedForm:
@@ -125,25 +140,25 @@ class TestIterateUntied:
 class TestEstimateMoments:
     def test_zero_scale(self):
         spec = EnsembleSpec(Family.RANDOM, 50, 0.0)
-        values, _ = ld.estimate_moments(spec, TIED, 4)
+        values = _variance_factors(spec, TIED, 4)
         assert summarize(values).mean == 0.0 and variance_factor_theory(spec.family, TIED, spec.scale) == 0.0
 
     def test_random_tied_half(self):
         spec = EnsembleSpec(Family.RANDOM, 600, 0.5)
-        stats = summarize(ld.estimate_moments(spec, TIED, 50)[0])
+        stats = summarize(_variance_factors(spec, TIED, 50))
         assert variance_factor_theory(spec.family, TIED, spec.scale) == pytest.approx(1.0)
         assert abs(stats.mean - 1.0) < 3 * stats.stderr
 
     def test_goe_tied_eighth_matches_catalan_series(self):
         spec = EnsembleSpec(Family.GOE, 600, 0.125)
-        stats = summarize(ld.estimate_moments(spec, TIED, 40)[0])
+        stats = summarize(_variance_factors(spec, TIED, 40))
         theory = variance_factor_theory(spec.family, TIED, spec.scale)
         assert theory == pytest.approx(4 * math.sqrt(2) - 5)
         assert abs(stats.mean - theory) < 3 * stats.stderr
 
     def test_untied_matches_tied_for_random(self):
         spec = EnsembleSpec(Family.RANDOM, 400, 0.4)
-        stats = summarize(ld.estimate_moments(spec, UNTIED, 40)[0])
+        stats = summarize(_variance_factors(spec, UNTIED, 40))
         theory = variance_factor_theory(spec.family, UNTIED, spec.scale)
         assert theory == pytest.approx(0.4 / 0.6)
         assert abs(stats.mean - theory) < 4 * stats.stderr
@@ -177,37 +192,42 @@ class TestEstimateMoments:
                 assert abs(np.mean(vals)) < 4 * se + 10.0 / n * (x @ x) * v
 
 
-@pytest.mark.parametrize("estimate", [ld.estimate_moments, ld.estimate_length_variance])
-def test_supercritical_scale_raises_before_any_draw(estimate, monkeypatch):
+@pytest.mark.parametrize("measure", [ld.variance_factor, ld.length_variance])
+def test_supercritical_scale_raises_before_any_draw(measure, monkeypatch):
     # tied GOE diverges at V = 1/4
     monkeypatch.setattr(ld, "sample", lambda *args: pytest.fail("a matrix was drawn"))
     with pytest.raises(CriticalScaleError):
-        estimate(EnsembleSpec(Family.GOE, 20, 0.3), TIED, 3)
+        measure(EnsembleSpec(Family.GOE, 20, 0.3), TIED, seed_for(0, Family.GOE, 0, 0))
 
 
 class TestEstimateLengthVariance:
     def test_zero_scale_is_one(self):
         spec = EnsembleSpec(Family.GOE, 60, 0.0)
-        values, _ = ld.estimate_length_variance(spec, TIED, 3)
+        values = _length_variances(spec, TIED, 3)
         assert summarize(values).mean == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_tied_half(self):
         spec = EnsembleSpec(Family.ORTHOGONAL, 600, 0.5)
-        values, _ = ld.estimate_length_variance(spec, TIED, 5)
+        values = _length_variances(spec, TIED, 5)
         assert length_variance_theory(spec.family, TIED, spec.scale) == pytest.approx(12.0)
         assert summarize(values).median == pytest.approx(12.0, rel=0.05)
 
     def test_untied_orthogonal_half(self):
         spec = EnsembleSpec(Family.ORTHOGONAL, 300, 0.5)
-        stats = summarize(ld.estimate_length_variance(spec, UNTIED, 50)[0])
+        stats = summarize(_length_variances(spec, UNTIED, 50))
         theory = length_variance_theory(spec.family, UNTIED, spec.scale)
         assert theory == pytest.approx(20.0 / 3.0)
         assert abs(stats.mean - theory) < 3 * stats.stderr
 
     def test_hutchinson_mode_consistent(self):
         spec = EnsembleSpec(Family.RANDOM, 300, 0.3)
-        exact, _ = ld.estimate_length_variance(spec, TIED, 8, estimator_mode="exact")
-        noisy, _ = ld.estimate_length_variance(spec, TIED, 8, estimator_mode="hutchinson", n_probes=64)
+        exact = _length_variances(spec, TIED, 8)
+
+        def hutchinson_64(seed):  # the tied Hutchinson measurement at 64 probes
+            a = np.eye(spec.dim) - sample(spec, seed)
+            return numerics.gram_inverse_sq_trace_hutchinson(a, seed.child(10_001).generator(), n_probes=64)[0]
+
+        noisy = _over_draws(hutchinson_64, spec, 8)
         assert summarize(noisy).mean == pytest.approx(summarize(exact).mean, rel=0.15)
 
     def test_truncation_depth(self):

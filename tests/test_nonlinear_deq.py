@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from deqlab import nonlinear_deq as nl
 from deqlab import numerics
 from deqlab.numerics import summarize
-from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
+from deqlab.ensembles import EnsembleSpec, Family, over_seeds, sample, seed_for
 from deqlab.nonlinear_deq import HARD_TANH, IDENTITY, TANH
 
 
@@ -248,17 +249,22 @@ class TestPredictCritical:
             nl.predict_critical_v(Family.RANDOM, HARD_TANH, bracket=(0.01, 0.02))
 
 
+def _residual_rows(family, grid, n, n_seeds, t_probe, phi=HARD_TANH):
+    """Residuals of the draws of base seed 0 under fig4's label 7, one row per
+    grid scale and one column per replicate."""
+    measure = functools.partial(nl.residual_sweep, family, grid, n, t_probe=t_probe, phi=phi)
+    return np.transpose(over_seeds(measure, 0, family, 7, n_seeds)[0])
+
+
 class TestResidualSweep:
     def test_deep_subcritical_all_converge(self):
         for family in (Family.RANDOM, Family.GOE, Family.ORTHOGONAL):
-            (row,) = nl.residual_sweep(family, [0.1], n=300, n_seeds=5, t_probe=400)
+            (row,) = _residual_rows(family, [0.1], n=300, n_seeds=5, t_probe=400)
             assert summarize(row).q75 < 1e-8
             assert np.mean(row > 1e-3) == 0.0
 
     def test_identity_transition_at_unit_scale(self):
-        below, above = nl.residual_sweep(
-            Family.ORTHOGONAL, [0.9, 1.1], n=200, n_seeds=5, t_probe=400, phi=IDENTITY
-        )
+        below, above = _residual_rows(Family.ORTHOGONAL, [0.9, 1.1], n=200, n_seeds=5, t_probe=400, phi=IDENTITY)
         assert summarize(below).median < 1e-6
         assert summarize(above).median > 1e-3
 
@@ -271,7 +277,7 @@ class TestResidualSweep:
                 state = nl.sigma_h_selfconsistent(sq * sq, HARD_TANH)
                 r = nl.radius_theory(family, sq * sq, HARD_TANH, state.sigma_h_sq)
                 assert (r < 0.95) if stable else (r > 1.05)
-                (row,) = nl.residual_sweep(family, [sq], n=n, n_seeds=n_seeds, t_probe=500)
+                (row,) = _residual_rows(family, [sq], n=n, n_seeds=n_seeds, t_probe=500)
                 frac_converged = 1.0 - float(np.mean(row > 1e-3))
                 if stable:
                     assert frac_converged >= 0.95
@@ -289,7 +295,7 @@ class TestResidualSweep:
         seed = seed_for(5, Family.RANDOM, 0, 0)
         w_unit = sample(EnsembleSpec(Family.RANDOM, n, 1.0), seed)
         x = seed.child(1).generator().standard_normal(n)
-        got = nl._probe_residuals(w_unit, x, scales, phi, t_probe)
+        got = nl.residual_sweep(Family.RANDOM, scales, n, seed, t_probe, phi)
         for sq, value in zip(scales, got):
             w = sq * w_unit
             h = np.zeros(n)

@@ -9,6 +9,10 @@ result type that only a dead function builds is reported with it.  Names are
 matched by spelling (a bare name, an attribute or an imported name).
 
 No module but ``__init__`` may import a name it never uses.
+
+Seed-stream labels are picked in one place: of the package's modules, only
+``ensembles`` (which defines them) and ``experiments`` (which runs every
+Monte-Carlo cell) may reference ``over_seeds`` or ``seed_for``.
 """
 
 import ast
@@ -85,3 +89,13 @@ def test_every_public_definition_is_reached():
 def test_no_unused_imports():
     found = [entry for path in MODULES if path.name != "__init__.py" for entry in unused_imports(path)]
     assert found == []
+
+
+def test_only_experiments_picks_seed_labels():
+    seeding = {"over_seeds", "seed_for"}
+    found = {
+        path.name: sorted(seeding & set(_names_used(_parse(path))))
+        for path in MODULES
+        if path.name not in ("ensembles.py", "experiments.py")
+    }
+    assert {name: names for name, names in found.items() if names} == {}
