@@ -4,14 +4,17 @@
 config file is also a flag, with dashes for underscores.
 
 Configs are flat ``key=value`` text files; command-line flags override file
-values.  Every run writes one CSV (UTF-8, header row, '.' decimal, one row
+values.  The parser only splits the command line; ``validate_config`` checks
+every value once, with each experiment's defaults, grid kind and optional keys
+from its ``experiments.EXPERIMENTS`` record.  Every run writes one CSV (UTF-8, header row, '.' decimal, one row
 per cell/statistic) and a JSON manifest carrying the resolved config, code
 version, wall time, one record per cell (its label, wall time and diverged
 counts by statistic) and the machine's setup.
 Identical config and seed produce byte-identical CSV at any thread count;
 everything time-dependent is isolated in the manifest.
 
-Exit codes: 0 success, 1 config error, 2 I/O error, 3 all cells failed.
+Exit codes: 0 success (``--help`` too), 1 config error (a command-line usage
+error too), 2 I/O error, 3 all cells failed.
 """
 
 from __future__ import annotations
@@ -34,24 +37,11 @@ from .ensembles import Family
 from .experiments import CSV_COLUMNS, EXPERIMENTS, ExperimentConfig, ResultRow, run_cells
 from .nonlinear_deq import ZERO_ONE_GATES
 
-DEFAULT_N = {"fig1": 2000, "train-probe": 64}
-DEFAULT_SEEDS = {
-    "fig1": 5,
-    "fig2": 20,
-    "fig3": 20,
-    "fig4": 100,
-    "moments": 0,
-    "freeprob-check": 4,
-    "train-probe": 10,
-}
-
 # config-file key -> ExperimentConfig field, for every settable field
 SETTINGS = {f.name: f for f in fields(ExperimentConfig) if "parse" in f.metadata}
 
-# keys that only some experiments read -> those experiments; setting one elsewhere is an error
-READ_BY = {"weight_mode": ("moments",), "phi": ("fig2", "fig3", "fig4", "train-probe")}
-READ_BY |= dict.fromkeys(("lr", "steps", "dataset_size"), ("train-probe",))
-READ_BY |= dict.fromkeys(("families", "grid"), tuple(e for e in EXPERIMENTS if e != "freeprob-check"))
+# keys that only some experiments read; setting one elsewhere is an error
+OPTIONAL_KEYS = frozenset().union(*(e.reads for e in EXPERIMENTS.values()))
 
 
 class ConfigError(ValueError):
@@ -89,21 +79,20 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
     """Merge file + overrides (flag values, None when unset) into a checked
     config; raises ConfigError."""
     errors: list[str] = []
-    raw: dict[str, tuple[int | None, str]] = {}
+    raw: dict[str, tuple[str, str]] = {}  # key -> (where it was set, as an error prefix; its text)
     if path is not None:
         try:
-            raw.update(read_config_file(path))
+            raw.update({key: (f"line {lineno}: ", text) for key, (lineno, text) in read_config_file(path).items()})
         except ConfigError as exc:
             errors.extend(exc.errors)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
     for key, value in (overrides or {}).items():
         if value is not None:
-            raw[key] = (None, str(value))
+            raw[key] = ("", str(value))
 
     values: dict[str, object] = {}
-    for key, (lineno, text) in raw.items():
-        where = f"line {lineno}: " if lineno is not None else ""
+    for key, (where, text) in raw.items():
         if key not in SETTINGS:
             errors.append(f"{where}unknown key {key!r}")
             continue
@@ -121,24 +110,16 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
     elif experiment not in EXPERIMENTS:
         errors.append(f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
     else:
-        for key, (lineno, _) in raw.items():
-            if key in values and experiment not in READ_BY.get(key, (experiment,)):
-                where = f"line {lineno}: " if lineno is not None else ""
+        spec = EXPERIMENTS[experiment]
+        for key, (where, _) in raw.items():
+            if key in values and key in OPTIONAL_KEYS and key not in spec.reads:
                 errors.append(f"{where}{experiment} does not read {key}")
     if errors:
         raise ConfigError(errors)
 
-    defaulted = []
-    if "n" not in values:
-        values["n"] = DEFAULT_N.get(experiment, 1000)
-        defaulted.append(f"n={values['n']}")
-    if "seeds" not in values:
-        values["seeds"] = DEFAULT_SEEDS.get(experiment, 20)
-        defaulted.append(f"seeds={values['seeds']}")
-    if "out" not in values:
-        values["out"] = f"{experiment}.csv"
-        defaulted.append(f"out={values['out']}")
-    config = ExperimentConfig(defaulted=tuple(defaulted), **values)
+    defaults = {"n": spec.n, "seeds": spec.seeds, "out": f"{experiment}.csv"}
+    defaulted = tuple(f"{key}={value}" for key, value in defaults.items() if key not in values)
+    config = ExperimentConfig(defaulted=defaulted, **(defaults | values))
 
     if config.n < 2:
         errors.append(f"n must be >= 2, got {config.n}")
@@ -154,7 +135,7 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         errors.append(f"threads must be >= 1, got {config.threads}")
     if not config.families:
         errors.append("families must not be empty")
-    if config.experiment in ("fig1", "moments") and config.grid is not None:
+    if spec.grid_kind == "delta" and config.grid is not None:
         bad = [g for g in config.grid if not 0.0 < g <= 1.0]
         if bad:
             errors.append(f"{config.experiment} grid values are deltas in (0, 1]; got {bad}")
@@ -162,7 +143,7 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         at_critical = [g for g in config.grid if 0.0 < g and 1.0 - g == 1.0]
         if at_critical:
             errors.append(f"{config.experiment} deltas {at_critical} map onto the critical scale V_c (1 - delta rounds to 1)")
-    if config.experiment in ("fig2", "fig3", "fig4", "train-probe") and config.grid is not None:
+    if spec.grid_kind == "sqrt_v" and config.grid is not None:
         bad = [g for g in config.grid if not (0.0 <= g and math.isfinite(g * g))]
         if bad:
             errors.append(f"{config.experiment} grid values are sqrt(V) >= 0 with a finite square; got {bad}")
@@ -249,22 +230,27 @@ def run(config: ExperimentConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Splits the command line only; ``validate_config`` checks every value."""
     parser = argparse.ArgumentParser(
         prog="deqlab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment to run")
+    parser.add_argument("experiment", metavar="{" + ",".join(sorted(EXPERIMENTS)) + "}", help="experiment to run")
     parser.add_argument("--config", help="flat key=value config file; flags override it")
     for name, setting in SETTINGS.items():
         if name != "experiment":
-            flag = "--" + name.replace("_", "-")
-            parser.add_argument(flag, dest=name, choices=setting.metadata["choices"], help=setting.metadata["help"])
+            choices = setting.metadata["choices"]
+            metavar = "{" + ",".join(choices) + "}" if choices else None
+            parser.add_argument("--" + name.replace("_", "-"), dest=name, metavar=metavar, help=setting.metadata["help"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    flags = vars(build_parser().parse_args(argv))
+    try:
+        flags = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # --help exits 0; a usage error is a config error
+        return 1 if exc.code else 0
     try:
         config = validate_config(flags.pop("config"), flags)
     except ConfigError as exc:

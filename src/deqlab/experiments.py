@@ -1,8 +1,8 @@
 """Experiments behind the command line: cells that each produce tidy result rows.
 
-Each experiment is a list of cells and a function from one cell to its rows;
-``run_cells`` runs every cell of a config.  Grids are in delta (distance to
-threshold) for fig1 and the moments dump, and in sqrt(V) for fig2/fig3/fig4.
+Each experiment is declared once, as an ``Experiment`` record in
+``EXPERIMENTS``: its cells, the rows of one cell, its defaults, the kind of its
+grid and the optional keys it reads.  ``run_cells`` runs every cell of a config.
 Every Monte-Carlo cell runs its replicates through ``ensembles.over_seeds``,
 which derives each stream from (seed, family, label, replicate), and this
 module picks every label: the grid index for fig1-fig3 and moments, 7 for
@@ -135,7 +135,7 @@ class ExperimentConfig:
     """
 
     experiment: str = field(metadata={"parse": str, "help": "experiment to run", "choices": None})
-    n: int = _setting(1000, int, "matrix dimension (default 1000; fig1 2000, train-probe 64)")
+    n: int = _setting(1000, int, "matrix dimension (per-experiment default)")
     seed: int = _setting(0, int, "base seed for all derived streams (default 0)")
     seeds: int = _setting(20, int, "replicates per cell (per-experiment default)")
     families: tuple[Family, ...] = _setting(
@@ -282,13 +282,7 @@ def freeprob_check_cell(config: ExperimentConfig) -> list[ResultRow]:
     n = config.n
 
     def row(statistic, theory, observed, **kw):
-        return ResultRow(
-            experiment="freeprob-check",
-            statistic=statistic,
-            theory=theory,
-            emp_mean=observed,
-            **kw,
-        )
+        return ResultRow("freeprob-check", statistic, theory=theory, emp_mean=observed, **kw)
 
     # semicircle density peak via boundary-value recovery
     _, density = freeprob.density_from_stieltjes(freeprob.semicircle_stieltjes, freeprob.recovery_grid((-2.0, 2.0)))
@@ -387,16 +381,31 @@ def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[
     return [ResultRow("train-probe", name, emp_mean=value, **common) for name, value in stats.items()]
 
 
-# experiment -> (config -> its cells, (config, *cell) -> the cell's rows); rows
-# come out in cell order
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: ``cells`` maps a config to its cells and ``rows`` maps
+    (config, *cell) to that cell's rows, in cell order; the defaults of ``n``
+    and ``seeds``; what its grid holds; the optional keys it reads."""
+
+    cells: object
+    rows: object
+    n: int
+    seeds: int
+    grid_kind: str | None = None  # "delta", "sqrt_v" or None (no grid)
+    reads: tuple[str, ...] = ()
+
+
+_SWEEP = ("families", "grid")
+_FIXED_POINT = Experiment(_sweep_cells(DEFAULT_SQRT_V_GRID), fixed_point_cell, 1000, 20, "sqrt_v", (*_SWEEP, "phi"))
+# name -> Experiment(cells, rows, n, seeds, grid_kind, reads)
 EXPERIMENTS = {
-    "fig1": (_sweep_cells(DEFAULT_FIG1_DELTAS), length_variance_cell),
-    "fig2": (_sweep_cells(DEFAULT_SQRT_V_GRID), fixed_point_cell),
-    "fig3": (_sweep_cells(DEFAULT_SQRT_V_GRID), fixed_point_cell),
-    "fig4": (lambda config: [(family,) for family in config.families], residual_cell),
-    "moments": (_moment_cells, moment_cell),
-    "freeprob-check": (lambda config: [()], freeprob_check_cell),
-    "train-probe": (_train_cells, train_cell),
+    "fig1": Experiment(_sweep_cells(DEFAULT_FIG1_DELTAS), length_variance_cell, 2000, 5, "delta", _SWEEP),
+    "fig2": _FIXED_POINT,
+    "fig3": _FIXED_POINT,
+    "fig4": Experiment(lambda config: [(f,) for f in config.families], residual_cell, 1000, 100, "sqrt_v", (*_SWEEP, "phi")),
+    "moments": Experiment(_moment_cells, moment_cell, 1000, 0, "delta", (*_SWEEP, "weight_mode")),
+    "freeprob-check": Experiment(lambda config: [()], freeprob_check_cell, 1000, 4),
+    "train-probe": Experiment(_train_cells, train_cell, 64, 10, "sqrt_v", (*_SWEEP, "phi", "lr", "steps", "dataset_size")),
 }
 
 
@@ -408,12 +417,12 @@ def run_cells(config: ExperimentConfig) -> tuple[list[ResultRow], list[dict]]:
     calling thread.  A statistic's count sums ``diverged`` over the cell's rows
     (fig4's cell has one row per grid scale); rows without the column are left out.
     """
-    cells_of, cell_rows = EXPERIMENTS[config.experiment]
-    cells = cells_of(config)
+    experiment = EXPERIMENTS[config.experiment]
+    cells = experiment.cells(config)
 
     def run_cell(cell) -> tuple[list[ResultRow], dict]:
         started = time.monotonic()
-        rows = cell_rows(config, *cell)
+        rows = experiment.rows(config, *cell)
         wall_s = time.monotonic() - started
         diverged: dict[str, int] = {}
         for row in rows:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from . import numerics
 from .ensembles import EnsembleSpec, Family, SeedDerivation, sample
@@ -37,13 +38,12 @@ class Nonlinearity:
 
 
 def _hard_tanh_moments(s: float) -> tuple[float, float]:
-    """With a = 1/sqrt(s) and g = erf(a/sqrt 2): E[phi'] = g and E[phi^2] =
-    s (g - 2 a pdf(a)) + erfc(a/sqrt 2) (Poole et al. 2016; Schoenholz et al. 2017)."""
+    """With x = 1/sqrt(2s): E[phi'] = erf(x) and E[phi^2] = s gammainc(3/2, x^2) + erfc(x), as E[h^2; |h| < 1]
+    = s Pr(chi^2_3 < 1/s); it does not cancel at large s (Poole et al. 2016; Schoenholz et al. 2017)."""
     if s == 0.0:
         return 0.0, 1.0
-    a = 1.0 / math.sqrt(s)
-    g = math.erf(a / math.sqrt(2.0))
-    return s * (g - 2.0 * a * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)) + math.erfc(a / math.sqrt(2.0)), g
+    x = 1.0 / math.sqrt(s) / math.sqrt(2.0)
+    return s * float(scipy.special.gammainc(1.5, 1.0 / (2.0 * s))) + math.erfc(x), math.erf(x)
 
 
 def _sech_sq(h):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import pytest
 
 from deqlab import cli, linear_deq, numerics
 from deqlab.cli import ConfigError, validate_config
-from deqlab.experiments import CSV_COLUMNS, parse_grid
+from deqlab.experiments import CSV_COLUMNS, EXPERIMENTS, parse_grid
 
 
 class TestParseGrid:
@@ -82,15 +83,39 @@ SAMPLE_VALUES = {
     "threads": "2",
     "estimator": "hutchinson",
     "weight_mode": "untied",
-    "phi": "tanh",
+    "phi": "identity",
     "lr": "0.125",
     "steps": "9",
     "dataset_size": "16",
 }
 
 
-# An experiment that reads each key; fig1 reads --estimator hutchinson at any weight mode.
-READER = {"weight_mode": "moments", "phi": "fig2", "lr": "train-probe", "steps": "train-probe", "dataset_size": "train-probe"}
+# The first experiment that reads each optional key; fig1 reads every other key, --estimator at any weight mode.
+READER = {key: next(name for name, spec in EXPERIMENTS.items() if key in spec.reads) for key in cli.OPTIONAL_KEYS}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_experiment_record_drives_validation(experiment):
+    spec = EXPERIMENTS[experiment]
+    config = validate_config(None, {"experiment": experiment})
+    assert (config.n, config.seeds, config.out) == (spec.n, spec.seeds, f"{experiment}.csv")
+    assert config.defaulted == (f"n={spec.n}", f"seeds={spec.seeds}", f"out={experiment}.csv")
+    for key in sorted(cli.OPTIONAL_KEYS):
+        overrides = {"experiment": experiment, key: SAMPLE_VALUES[key]}
+        if key in spec.reads:
+            assert getattr(validate_config(None, overrides), key) != getattr(config, key), key
+        else:
+            with pytest.raises(ConfigError) as err:
+                validate_config(None, overrides)
+            assert err.value.errors == [f"{experiment} does not read {key}"]
+    # the grid kind picks the domain check; an experiment without a grid has none
+    assert (spec.grid_kind is None) == ("grid" not in spec.reads)
+    if spec.grid_kind is not None:
+        bad_grid = {"delta": ("1.5:1.5:1", "deltas in (0, 1]"), "sqrt_v": ("-0.5:-0.5:1", "sqrt(V) >= 0")}
+        grid, message = bad_grid[spec.grid_kind]
+        with pytest.raises(ConfigError) as err:
+            validate_config(None, {"experiment": experiment, "grid": grid})
+        assert any(e.startswith(f"{experiment} grid values are {message}") for e in err.value.errors)
 
 
 class TestFlagsMatchConfigKeys:
@@ -233,6 +258,24 @@ class TestCliRuns:
         assert _run_cli(["fig2", "--seeds", "-1"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["fig1", "--estimator", "foo"], ["moments", "--weight-mode", "x"], ["fig1", "--bogus", "3"], ["fig1", "--n"],
+         ["bogus"], []],
+        ids=["bad-choice", "bad-weight-mode", "unknown-flag", "missing-value", "unknown-experiment", "empty"],
+    )
+    def test_command_line_errors_exit_1(self, args, tmp_path, monkeypatch, capsys):
+        # every value goes through validate_config; an argparse usage error is a config error too
+        monkeypatch.chdir(tmp_path)
+        assert _run_cli(args) == 1
+        assert "error: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0_and_shows_choices(self, capsys):
+        assert _run_cli(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{exact,hutchinson}" in out and "{tied,untied,both}" in out and "fig1,fig2" in out
+
     def test_undecodable_config_file_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"experiment=fig1\nn=\xff\n")
@@ -249,7 +292,8 @@ class TestCliRuns:
         def must_not_run(*args):
             pytest.fail("the experiment ran before the output directory was checked")
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig2", (must_not_run, must_not_run))
+        untouchable = dataclasses.replace(EXPERIMENTS["fig2"], cells=must_not_run, rows=must_not_run)
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig2", untouchable)
         out = tmp_path / "nodir" / "t.csv"
         args = ["fig2", "--n", "40", "--seeds", "2", "--grid", "0.3:0.3:1", "--families", "random"]
         assert _run_cli([*args, "--out", str(out)]) == 2
@@ -547,6 +591,22 @@ class TestCliRuns:
         assert _run_cli(args) == 0
         rows = _rows(out)
         assert len(rows) == 3 and all(math.isfinite(float(row["theory"])) for row in rows)
+
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_hard_tanh_scalar_solve_at_huge_scale(self, experiment, tmp_path, capsys):
+        # at sqrt(V) = 1e15 (s about 2e30) E[phi^2] is 1 - 4 / (3 sqrt(2 pi s)) and must not cancel;
+        # no seed's fixed point settles, so every cell fails
+        out = tmp_path / "huge.csv"
+        args = [experiment, "--n", "20", "--seeds", "2", "--families", "random", "--grid", "1e15:1e15:1"]
+        assert _run_cli([*args, "--out", str(out)]) == 3
+        assert "every cell diverged" in capsys.readouterr().err
+        (row,) = _rows(out)
+        v = 1e30
+        s = 2.0 * v  # V (E[phi^2] + 1), with E[phi^2] = 1 to 15 digits
+        # p = erf(1 / sqrt(2 s)) ~ sqrt(2 / (pi s)), and the random-family radius is sqrt(V p)
+        expected = s if experiment == "fig2" else math.sqrt(v * math.sqrt(2.0 / (math.pi * s)))
+        assert float(row["theory"]) == pytest.approx(expected, rel=1e-12)
+        assert row["diverged"] == "2"
 
     def test_moments_one_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "m.csv"

@@ -101,6 +101,13 @@ class TestGaussianMoments:
         assert abs(sq - quad_expect(lambda h: min(h * h, 1.0), s)) <= 1e-12
         assert abs(gate - quad_expect(lambda h: float(abs(h) < 1.0), s)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [1e28, 1e29, 1e30, 1e31, 1e32])
+    def test_hard_tanh_far_tail_does_not_cancel(self, s):
+        # E[min(h^2, 1)] = 1 - E[(1 - h^2); |h| < 1] = 1 - 4 / (3 sqrt(2 pi s)) + O(s^-3/2)
+        sq, gate = HARD_TANH.gaussian_moments(s)
+        assert sq == pytest.approx(1.0 - 4.0 / (3.0 * math.sqrt(2.0 * math.pi * s)), abs=3e-16)
+        assert gate == pytest.approx(math.sqrt(2.0 / (math.pi * s)), rel=1e-12)
+
     def test_zero_variance(self):
         assert HARD_TANH.gaussian_moments(0.0) == (0.0, 1.0)
         assert IDENTITY.gaussian_moments(0.0) == (0.0, 1.0)
