@@ -15,7 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import KW_ONLY, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 
@@ -48,32 +48,14 @@ DEFAULT_FIG1_DELTAS = (0.05, 0.075, 0.1, 0.15, 0.22, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_SQRT_V_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 ALL_FAMILIES = (Family.RANDOM, Family.GOE, Family.ORTHOGONAL)
 
-CSV_COLUMNS = (
-    "experiment",
-    "family",
-    "weight_mode",
-    "v",
-    "delta",
-    "sqrt_v",
-    "n",
-    "seeds",
-    "statistic",
-    "theory",
-    "emp_mean",
-    "emp_median",
-    "emp_stderr",
-    "emp_q25",
-    "emp_q75",
-    "diverged",
-)
-
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One statistic for one sweep cell; empty fields stay None in the CSV."""
+    """One statistic for one sweep cell, its fields in CSV column order; empty
+    fields stay None in the CSV."""
 
     experiment: str
-    statistic: str
+    _: KW_ONLY
     family: str = ""
     weight_mode: str = ""
     v: float | None = None
@@ -81,6 +63,7 @@ class ResultRow:
     sqrt_v: float | None = None
     n: int | None = None
     seeds: int | None = None
+    statistic: str
     theory: float | None = None
     emp_mean: float | None = None
     emp_median: float | None = None
@@ -92,6 +75,9 @@ class ResultRow:
     def as_csv(self) -> list[str]:
         # str of a float is its shortest round-trip repr
         return ["" if getattr(self, col) is None else str(getattr(self, col)) for col in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -182,7 +168,7 @@ def length_variance_cell(config: ExperimentConfig, family: Family, gi: int, delt
     values, n_diverged = over_seeds(measure, config.seed, family, gi, config.seeds)
     common = dict(family=family.value, weight_mode=WeightMode.TIED.value, v=v, delta=delta, n=config.n, seeds=config.seeds)
     theory = length_variance_theory(family, WeightMode.TIED, v)
-    return [ResultRow("fig1", "length_variance_T", theory=theory, diverged=n_diverged, **common, **_emp_columns(values))]
+    return [ResultRow("fig1", statistic="length_variance_T", theory=theory, diverged=n_diverged, **common, **_emp_columns(values))]
 
 
 def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: float) -> list[ResultRow]:
@@ -211,7 +197,7 @@ def fixed_point_cell(config: ExperimentConfig, family: Family, gi: int, sqrt_v: 
 
     values, n_diverged = over_seeds(measure, config.seed, family, gi, config.seeds)
     common = dict(family=family.value, v=v, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds, diverged=n_diverged)
-    return [ResultRow(config.experiment, statistic, theory=theory, **common, **_emp_columns(values))]
+    return [ResultRow(config.experiment, statistic=statistic, theory=theory, **common, **_emp_columns(values))]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +220,7 @@ def residual_cell(config: ExperimentConfig, family: Family) -> list[ResultRow]:
     residuals = np.ascontiguousarray(np.transpose(columns))  # one row per grid scale
     common = dict(family=family.value, n=config.n, seeds=config.seeds, theory=predicted)
     return [
-        ResultRow("fig4", "residual_at_probe", v=sqrt_v**2, sqrt_v=sqrt_v, diverged=int(np.sum(row > 1e-3)),
+        ResultRow("fig4", statistic="residual_at_probe", v=sqrt_v**2, sqrt_v=sqrt_v, diverged=int(np.sum(row > 1e-3)),
                   **common, **(_emp_columns(row) | {"emp_stderr": None}))
         for sqrt_v, row in zip(grid, residuals)
     ]
@@ -261,8 +247,8 @@ def _moment_cells(config: ExperimentConfig) -> list[tuple]:
 
 def moment_cell(config: ExperimentConfig, family: Family, mode: WeightMode, gi: int, delta: float) -> list[ResultRow]:
     v = delta_to_scale(family, mode, delta)
-    common = dict(experiment="moments", family=family.value, weight_mode=mode.value, v=v, delta=delta, n=config.n)
-    out = [ResultRow(statistic=name, theory=theory(family, mode, v), **common) for name, theory in MOMENT_THEORIES]
+    common = dict(family=family.value, weight_mode=mode.value, v=v, delta=delta, n=config.n)
+    out = [ResultRow("moments", statistic=name, theory=theory(family, mode, v), **common) for name, theory in MOMENT_THEORIES]
     if config.seeds > 0:
         spec = EnsembleSpec(family, config.n, v)
         measures = (partial(variance_factor, spec, mode), partial(length_variance, spec, mode, estimator=config.estimator))
@@ -282,7 +268,7 @@ def freeprob_check_cell(config: ExperimentConfig) -> list[ResultRow]:
     n = config.n
 
     def row(statistic, theory, observed, **kw):
-        return ResultRow("freeprob-check", statistic, theory=theory, emp_mean=observed, **kw)
+        return ResultRow("freeprob-check", statistic=statistic, theory=theory, emp_mean=observed, **kw)
 
     # semicircle density peak via boundary-value recovery
     _, density = freeprob.density_from_stieltjes(freeprob.semicircle_stieltjes, freeprob.recovery_grid((-2.0, 2.0)))
@@ -311,7 +297,7 @@ def freeprob_check_cell(config: ExperimentConfig) -> list[ResultRow]:
     mc, n_failed = over_seeds(inverse_singular_moments, config.seed, Family.RANDOM, 21, config.seeds)
     for k, values in zip((2, 3), zip(*mc)):
         common = dict(v=v_mc, n=n, seeds=config.seeds, diverged=n_failed, **_emp_columns(values))
-        rows.append(ResultRow("freeprob-check", f"cubic_m{k}_vs_mc", theory=float(m_mc.coefficient(k)), **common))
+        rows.append(ResultRow("freeprob-check", statistic=f"cubic_m{k}_vs_mc", theory=float(m_mc.coefficient(k)), **common))
 
     # contour fourth moment against the tied-GOE length-variance closed form
     grid = np.linspace(0.01, 0.24, 20)
@@ -378,7 +364,7 @@ def train_cell(config: ExperimentConfig, family: Family, sqrt_v: float) -> list[
         "median_steps_to_half_loss": float(np.median(hits)) if hits else None,
     }
     common = dict(family=family.value, v=sqrt_v**2, sqrt_v=sqrt_v, n=config.n, seeds=config.seeds, diverged=n_diverged)
-    return [ResultRow("train-probe", name, emp_mean=value, **common) for name, value in stats.items()]
+    return [ResultRow("train-probe", statistic=name, emp_mean=value, **common) for name, value in stats.items()]
 
 
 @dataclass(frozen=True)

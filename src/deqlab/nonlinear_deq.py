@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 import scipy.special
 
 from . import numerics
@@ -60,11 +61,7 @@ ZERO_ONE_GATES = tuple(f.name for f in NONLINEARITIES.values() if f.gaussian_mom
 
 
 class SelfConsistencyError(RuntimeError):
-    """Damped scalar iteration failed to settle; carries the last state."""
-
-    def __init__(self, message: str, last_state: "SelfConsistentState"):
-        super().__init__(message)
-        self.last_state = last_state
+    """The self-consistent variance has no bounded root."""
 
 
 class UnsupportedNonlinearityError(ValueError):
@@ -73,18 +70,16 @@ class UnsupportedNonlinearityError(ValueError):
 
 @dataclass(frozen=True)
 class SelfConsistentState:
-    """Solution of ``sigma_h^2 = V (sigma_phi^2 + sigma_x^2)``.
+    """Solution of ``sigma_h^2 = V (E[phi(h)^2] + sigma_x^2)``.
 
     ``p_active`` is the mean derivative gate E[phi'(h)] under
-    ``h ~ N(0, sigma_h^2)`` (the active-set probability for hard-tanh).
+    ``h ~ N(0, sigma_h^2)`` (the active-set probability for hard-tanh);
+    ``iterations`` counts the root finder's steps.
     """
 
     sigma_h_sq: float
-    sigma_phi_sq: float
     p_active: float
-    scale: float
     iterations: int
-    residual: float
 
 
 def iterate_h(
@@ -110,47 +105,29 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
     """Solve the scalar fixed point for the pre-activation variance.
 
     Models ``h_i ~ N(0, s)`` with inputs of coordinate variance SIGMA_X_SQ
-    and damps ``s <- s + (V (E[phi(h)^2] + SIGMA_X_SQ) - s) / 2`` until the
-    update falls to 1e-10 times max(1, s), within 10,000 steps: at large V an
-    absolute 1e-10 sits below the float spacing of s.  The 0/1 gates read their
-    Gaussian moments in closed form; other maps go through quadrature.
+    and finds the root of ``excess(s) = s - V (E[phi(h)^2] + SIGMA_X_SQ)``
+    with Brent's method (Brent 1973).  The bracket starts at V SIGMA_X_SQ,
+    where the excess is -V E[phi^2] <= 0, and doubles until the excess is
+    >= 0; past 1e12 max(1, V) there is no bounded root.  The 0/1 gates read
+    their Gaussian moments in closed form; other maps go through quadrature.
     """
     if v < 0:
         raise ValueError("scale must be >= 0")
-    max_iter = 10_000
-    s = v * SIGMA_X_SQ
-    growth_cap = 1e12 * max(1.0, v)
-    residual = math.inf
-    prev_delta: float | None = None
     closed = phi.gaussian_moments
-    for it in range(1, max_iter + 1):
+
+    def excess(s: float) -> float:
         sig_phi = closed(s)[0] if closed else numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
-        target = v * (sig_phi + SIGMA_X_SQ)
-        residual = abs(target - s)
-        if residual <= 1e-10 * max(1.0, s):
-            p = closed(s)[1] if closed else numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
-            return SelfConsistentState(s, sig_phi, p, v, it, residual)
-        delta = 0.5 * (target - s)
-        # Aitken jump when successive damped steps contract geometrically;
-        # without it the iteration stalls near-threshold where the
-        # contraction rate approaches 1.
-        if prev_delta is not None and prev_delta != 0.0:
-            ratio = delta / prev_delta
-            if 1e-6 < ratio < 0.99995:
-                jump = s + delta / (1.0 - ratio)
-                if math.isfinite(jump) and jump >= 0.0:
-                    s = jump
-                    prev_delta = None
-                    continue
-        s += delta
-        prev_delta = delta
-        if not math.isfinite(s) or s < 0 or s > growth_cap:
-            break
-    state = SelfConsistentState(s, math.nan, math.nan, v, max_iter, residual)
-    raise SelfConsistencyError(
-        f"no self-consistent variance after {max_iter} damped iterations (residual {residual:.2e})",
-        state,
-    )
+        return s - v * (sig_phi + SIGMA_X_SQ)
+
+    lo = hi = v * SIGMA_X_SQ
+    while excess(hi) < 0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e12 * max(1.0, v) or math.isinf(hi):
+            raise SelfConsistencyError(f"no self-consistent variance below {hi:.3g} at V={v}")
+    # a negligible xtol leaves brentq's relative tolerance, 4 eps, to stop it at any scale of s
+    s, info = scipy.optimize.brentq(excess, lo, hi, xtol=1e-300, full_output=True)
+    p = closed(s)[1] if closed else numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
+    return SelfConsistentState(s, p, info.iterations)
 
 
 def radius_theory(family: Family, v: float, phi: Nonlinearity, sigma_h_sq: float) -> float:
@@ -243,12 +220,11 @@ def predict_critical_v(
     family: Family,
     phi: Nonlinearity,
     bracket: tuple[float, float] = (0.05, 4.0),
-    tol: float = 1e-4,
 ) -> float:
     """Critical root scale: the sqrt(V) at which the predicted radius hits 1.
 
     Bisection on sqrt(V) of the coupled system (self-consistent variance,
-    radius = 1); returns the critical value in sqrt(V) units.
+    radius = 1) down to a width of 1e-4; returns the midpoint in sqrt(V) units.
     """
 
     def excess(sq: float) -> float:
@@ -267,7 +243,7 @@ def predict_critical_v(
             f"radius does not cross 1 on the bracket {bracket}: "
             f"excess({lo})={f_lo:.3f}, excess({hi})={f_hi:.3f}"
         )
-    while hi - lo > tol:
+    while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0:
             lo = mid

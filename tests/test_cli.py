@@ -317,6 +317,17 @@ class TestCliRuns:
         assert f"config error: {experiment} with phi identity" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_identity_just_below_unit_scale_has_finite_theory(self, tmp_path, capsys):
+        # s = V (s + 1) has the bounded root V / (1 - V) = 99999.25 here; no 20-dim draw settles in 1000 steps
+        out = tmp_path / "id.csv"
+        args = ["fig2", "--phi", "identity", "--grid", "0.999995:0.999995:1", "--n", "20", "--seeds", "2",
+                "--families", "random", "--out", str(out)]
+        assert _run_cli(args) == 3
+        assert capsys.readouterr().err == "error: every cell diverged\n"
+        (row,) = _rows(out)
+        v = float(row["v"])
+        assert float(row["theory"]) == pytest.approx(v / (1.0 - v), rel=5e-11)
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--dataset-size", "0", "dataset_size"), ("--dataset-size", "-3", "dataset_size"), ("--steps", "-2", "steps")],

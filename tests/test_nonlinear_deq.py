@@ -62,7 +62,27 @@ class TestSigmaHSelfConsistent:
     def test_identity_geometric(self):
         state = nl.sigma_h_selfconsistent(0.5, IDENTITY)
         assert state.sigma_h_sq == pytest.approx(1.0, abs=1e-9)
-        assert state.residual < 1e-10
+
+    def test_identity_just_below_unit_scale(self):
+        # the root of s = V (s + 1) is V / (1 - V) = 99999.0000004551 for the float V = 0.99999; its
+        # condition number 1 / (1 - V) = 1e5 turns rounding of the excess (a few ulp of s) into ~2e-11 relative
+        v = 0.99999
+        assert nl.sigma_h_selfconsistent(v, IDENTITY).sigma_h_sq == pytest.approx(v / (1.0 - v), rel=5e-11)
+
+    @pytest.mark.parametrize(
+        "phi, sqrt_v",
+        [(phi, sq) for phi in (HARD_TANH, TANH) for sq in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2, 2.0, 6.0)]
+        + [(IDENTITY, sq) for sq in (0.1, 0.5, 0.9, 0.99, 0.999, 0.99999)],
+        ids=lambda p: getattr(p, "name", str(p)),
+    )
+    def test_root_solves_the_equation(self, phi, sqrt_v):
+        v = sqrt_v * sqrt_v
+        s = nl.sigma_h_selfconsistent(v, phi).sigma_h_sq
+        if phi.gaussian_moments:
+            second = phi.gaussian_moments(s)[0]
+        else:
+            second = numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
+        assert abs(s - v * (second + nl.SIGMA_X_SQ)) <= 1e-13 * max(1.0, s)
 
     def test_hardtanh_small_scale_is_linear(self):
         state = nl.sigma_h_selfconsistent(0.01, HARD_TANH)
@@ -74,13 +94,12 @@ class TestSigmaHSelfConsistent:
         assert state.sigma_h_sq == pytest.approx(0.3193533949, abs=0.002)
         assert state.p_active == pytest.approx(math.erf(1 / math.sqrt(2 * state.sigma_h_sq)), abs=1e-6)
         assert state.sigma_h_sq == pytest.approx(
-            0.25 * (state.sigma_phi_sq + 1.0), abs=1e-9
+            0.25 * (HARD_TANH.gaussian_moments(state.sigma_h_sq)[0] + 1.0), abs=1e-9
         )
 
-    def test_no_bounded_solution_raises_with_state(self):
-        with pytest.raises(nl.SelfConsistencyError) as err:
+    def test_no_bounded_solution_raises(self):
+        with pytest.raises(nl.SelfConsistencyError):
             nl.sigma_h_selfconsistent(1.2, IDENTITY)
-        assert err.value.last_state.scale == 1.2
 
 
 class TestTanhDerivative:
@@ -240,8 +259,9 @@ class TestRadiusEmpirical:
 
 class TestPredictCritical:
     def test_identity_families(self):
-        assert nl.predict_critical_v(Family.RANDOM, IDENTITY) == pytest.approx(1.0, abs=2e-4)
-        assert nl.predict_critical_v(Family.ORTHOGONAL, IDENTITY) == pytest.approx(1.0, abs=2e-4)
+        # half the bisection's final width of 1e-4
+        assert nl.predict_critical_v(Family.RANDOM, IDENTITY) == pytest.approx(1.0, abs=5e-5)
+        assert nl.predict_critical_v(Family.ORTHOGONAL, IDENTITY) == pytest.approx(1.0, abs=5e-5)
         assert nl.predict_critical_v(Family.GOE, IDENTITY) == pytest.approx(0.5, abs=2e-4)
 
     def test_hardtanh_values_from_bisection_oracle(self):
