@@ -154,11 +154,15 @@ def validate_config(path: str | None, overrides: dict | None = None) -> Experime
         errors.append(f"estimator {config.estimator} applies only to tied length-variance cells (fig1, moments tied or both)")
     if config.experiment in ("fig3", "fig4") and Family.GOE in config.families and config.phi not in ZERO_ONE_GATES:
         errors.append(f"{config.experiment} on goe needs phi {' or '.join(ZERO_ONE_GATES)} (a 0/1 gate), got {config.phi!r}")
-    if config.experiment in ("fig2", "fig3") and config.phi == "identity" and config.grid is not None:
-        # s = V (s + 1) has a bounded root only for V < 1
-        bad = [g for g in config.grid if g >= 1.0]
-        if bad:
-            errors.append(f"{config.experiment} with phi identity has no bounded variance at sqrt(V) >= 1; got {bad}")
+    if config.experiment in ("fig2", "fig3") and config.grid is not None:
+        if config.phi == "identity":  # s = V (s + 1) has a bounded root only for V < 1
+            bad = [g for g in config.grid if g >= 1.0]
+            if bad:
+                errors.append(f"{config.experiment} with phi identity has no bounded variance at sqrt(V) >= 1; got {bad}")
+        else:  # with |phi| <= 1 the root of s = V (E[phi^2] + 1) can sit at 2 V, where the solve's bracket ends
+            huge = [g for g in config.grid if math.isfinite(g * g) and not math.isfinite(2.0 * (g * g))]
+            if huge:
+                errors.append(f"{config.experiment} variance root 2 V overflows at sqrt(V) {huge}")
     if config.dataset_size < 1:
         errors.append(f"dataset_size must be >= 1, got {config.dataset_size}")
     if config.steps < 0:

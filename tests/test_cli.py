@@ -317,6 +317,16 @@ class TestCliRuns:
         assert f"config error: {experiment} with phi identity" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_unrepresentable_variance_root_rejected(self, experiment, tmp_path, capsys):
+        # V = 1e308 is finite, but the scalar solve's bracket needs 2 V, which is not
+        out = tmp_path / "huge.csv"
+        args = [experiment, "--grid", "1e154:1e154:1", "--n", "20", "--seeds", "2", "--out", str(out)]
+        assert _run_cli(args) == 1
+        assert f"config error: {experiment} variance root 2 V overflows at sqrt(V) [1e+154]" in capsys.readouterr().err
+        assert not out.exists()
+        assert validate_config(None, {"experiment": experiment, "grid": "9e153:9e153:1"}).grid == (9e153,)
+
     def test_identity_just_below_unit_scale_has_finite_theory(self, tmp_path, capsys):
         # s = V (s + 1) has the bounded root V / (1 - V) = 99999.25 here; no 20-dim draw settles in 1000 steps
         out = tmp_path / "id.csv"

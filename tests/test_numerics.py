@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deqlab import numerics
+from deqlab.analytic_moments import WeightMode, delta_to_scale
 from deqlab.ensembles import EnsembleSpec, Family, sample, seed_for
 from deqlab.freeprob import kolmogorov_distance, semicircle_cdf
 from deqlab.nonlinear_deq import TANH
@@ -164,6 +165,22 @@ class TestGramInverseSqTrace:
     def test_singular_raises(self):
         with pytest.raises(numerics.SingularMatrixError):
             numerics.gram_inverse_sq_trace(np.diag([1.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_blocked_inverse_matches_svd(self, family):
+        # N = 300 is above LAPACK's inverse block size, so the blocked getri path runs
+        n = 300
+        v = delta_to_scale(family, WeightMode.TIED, 0.05)
+        a = np.eye(n) - sample(EnsembleSpec(family, n, v), seed_for(5, family, 0, 0))
+        sigma = np.linalg.svd(a, compute_uv=False)
+        assert numerics.gram_inverse_sq_trace(a) == pytest.approx(np.mean(sigma**-4.0), rel=1e-12)
+
+    def test_rank_deficient_blocked_size_raises(self):
+        n = 300
+        a = np.eye(n) - sample(EnsembleSpec(Family.RANDOM, n, 0.5), seed_for(6, Family.RANDOM, 0, 0))
+        a[-1] = a[0]
+        with pytest.raises(numerics.SingularMatrixError):
+            numerics.gram_inverse_sq_trace(a)
 
     def test_hutchinson_agrees_within_three_sigma(self):
         n = 500
