@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-import scipy.integrate
-
 from .ensembles import Family
 
 
@@ -68,11 +66,6 @@ def catalan_generating(x: float) -> float:
     if x >= 0.25:
         raise CriticalScaleError(x, 0.25, what="series argument")
     return (1.0 - math.sqrt(1.0 - 4.0 * x)) / (2.0 * x)
-
-
-def gram_trace_factor_theory(family: Family, weight_mode: WeightMode, v: float) -> float:
-    """``E tr[(I-W)^{-T} (I-W)^{-1}] / N`` (equals variance factor + 1)."""
-    return variance_factor_theory(family, weight_mode, v) + 1.0
 
 
 def variance_factor_theory(family: Family, weight_mode: WeightMode, v: float) -> float:
@@ -130,6 +123,8 @@ def goe_tied_integral(v: float) -> float:
         raise CriticalScaleError(v, 0.25)
     if v == 0.0:
         return 1.0
+    import scipy.integrate  # here, not at the top: its import would slow every launch, and only quad needs it
+
     a = 2.0 * math.sqrt(v)
 
     def integrand(x: float) -> float:

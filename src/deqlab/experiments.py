@@ -26,7 +26,6 @@ from .analytic_moments import (
     WeightMode,
     catalan_generating,
     delta_to_scale,
-    gram_trace_factor_theory,
     length_variance_theory,
     variance_factor_theory,
 )
@@ -230,11 +229,10 @@ def residual_cell(config: ExperimentConfig, family: Family) -> list[ResultRow]:
 # moments: closed forms with optional Monte-Carlo attachment
 # ---------------------------------------------------------------------------
 
-# (statistic, closed form) in row order; the first two get Monte-Carlo columns
+# (statistic, closed form) in row order; with seeds > 0 each gets Monte-Carlo columns
 MOMENT_THEORIES = (
     ("variance_factor", variance_factor_theory),
     ("length_variance_T", length_variance_theory),
-    ("gram_trace_factor", gram_trace_factor_theory),
 )
 
 

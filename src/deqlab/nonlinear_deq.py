@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.special
 
 from . import numerics
 from .ensembles import EnsembleSpec, Family, SeedDerivation, sample
@@ -39,12 +37,28 @@ class Nonlinearity:
 
 
 def _hard_tanh_moments(s: float) -> tuple[float, float]:
-    """With x = 1/sqrt(2s): E[phi'] = erf(x) and E[phi^2] = s gammainc(3/2, x^2) + erfc(x), as E[h^2; |h| < 1]
-    = s Pr(chi^2_3 < 1/s); it does not cancel at large s (Poole et al. 2016; Schoenholz et al. 2017)."""
+    """With a = 1/sqrt(2s): E[phi'] = erf(a) and E[phi^2] = E[h^2; |h| < 1] + erfc(a), where
+    E[h^2; |h| < 1] = s P(3/2, a^2) = s Pr(chi^2_3 < 1/s) (Poole et al. 2016; Schoenholz et al. 2017).
+
+    For a^2 < 1, s P(3/2, a^2) is the series (2a / (3 sqrt(pi))) e^{-a^2} sum_k a^{2k} / ((5/2)(7/2)...),
+    whose terms are all positive, so the s -> inf tail does not cancel; otherwise it is
+    s (erf(a) - (2a / sqrt(pi)) e^{-a^2}).
+    """
     if s == 0.0:
         return 0.0, 1.0
-    x = 1.0 / math.sqrt(s) / math.sqrt(2.0)
-    return s * float(scipy.special.gammainc(1.5, 1.0 / (2.0 * s))) + math.erfc(x), math.erf(x)
+    a = 1.0 / math.sqrt(s) / math.sqrt(2.0)
+    z = 1.0 / (2.0 * s)
+    if z < 1.0:
+        term = total = 1.0
+        k = 2.5
+        while term > 1e-17 * total:
+            term *= z / k
+            total += term
+            k += 1.0
+        inside = 2.0 * a / (3.0 * math.sqrt(math.pi)) * math.exp(-z) * total
+    else:
+        inside = s * (math.erf(a) - 2.0 * a / math.sqrt(math.pi) * math.exp(-z))
+    return inside + math.erfc(a), math.erf(a)
 
 
 def _sech_sq(h):
@@ -124,10 +138,60 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
         lo, hi = hi, 2.0 * hi
         if hi > 1e12 * max(1.0, v) or math.isinf(hi):
             raise SelfConsistencyError(f"no self-consistent variance below {hi:.3g} at V={v}")
-    # a negligible xtol leaves brentq's relative tolerance, 4 eps, to stop it at any scale of s
-    s, info = scipy.optimize.brentq(excess, lo, hi, xtol=1e-300, full_output=True)
+    s, iterations = _brentq(excess, lo, hi)
     p = closed(s)[1] if closed else numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
-    return SelfConsistentState(s, p, info.iterations)
+    return SelfConsistentState(s, p, iterations)
+
+
+_BRENT_XTOL = 1e-300  # negligible: the relative tolerance, 4 eps, stops the search at any scale
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> tuple[float, int]:
+    """Root of f on [xa, xb] and the iterations taken, by Brent's method (Brent 1973).
+
+    A line-for-line port of scipy's ``brentq.c``, so it returns the root and the
+    iteration count of ``scipy.optimize.brentq(f, xa, xb, xtol=1e-300, full_output=True)``
+    bit for bit, without importing ``scipy.optimize``, which would slow every launch.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:  # an endpoint root takes no iteration (scipy leaves its count unset here)
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for i in range(1, _BRENT_MAXITER + 1):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
 def radius_theory(family: Family, v: float, phi: Nonlinearity, sigma_h_sq: float) -> float:

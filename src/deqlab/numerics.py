@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 
@@ -50,21 +49,22 @@ def fixed_point(step, x0: np.ndarray, t_max: int, tol: float) -> FixedPointResul
     states = np.array(x0, dtype=float, ndmin=2)
     x, residual, rows = states, math.inf, np.arange(len(states))
     out, sqrt_n, iterations = np.full(len(states), math.inf), math.sqrt(x.shape[-1]), 0
-    for _ in range(t_max):
-        x_next = step(x, rows)
-        iterations += rows.size
-        d = x_next - x  # the norms are bit for bit np.linalg.norm(., axis=1), without its dispatch
-        residual = np.sqrt(np.add.reduce(d * d, axis=1)) / sqrt_n
-        x = x_next
-        overflow = ~(np.sqrt(np.add.reduce(x * x, axis=1)) <= _OVERFLOW_NORM)
-        stop = overflow | (residual <= tol)
-        if not stop.any():
-            continue
-        out[rows[stop]] = np.where(overflow, math.inf, residual)[stop]
-        states[rows[stop]] = x[stop]
-        rows, x, residual = rows[~stop], x[~stop], residual[~stop]
-        if rows.size == 0:
-            break
+    with np.errstate(over="ignore"):  # squares of entries past ~1e154 overflow; an inf norm reads as overflow
+        for _ in range(t_max):
+            x_next = step(x, rows)
+            iterations += rows.size
+            d = x_next - x  # the norms are bit for bit np.linalg.norm(., axis=1), without its dispatch
+            residual = np.sqrt(np.add.reduce(d * d, axis=1)) / sqrt_n
+            x = x_next
+            overflow = ~(np.sqrt(np.add.reduce(x * x, axis=1)) <= _OVERFLOW_NORM)
+            stop = overflow | (residual <= tol)
+            if not stop.any():
+                continue
+            out[rows[stop]] = np.where(overflow, math.inf, residual)[stop]
+            states[rows[stop]] = x[stop]
+            rows, x, residual = rows[~stop], x[~stop], residual[~stop]
+            if rows.size == 0:
+                break
     states[rows], out[rows] = x, residual
     shape = np.shape(x0)
     return FixedPointResult(states.reshape(shape), iterations, out.reshape(shape[:-1])[()], bool(np.all(out <= tol)))
@@ -262,12 +262,14 @@ def gauss_hermite_expect(f, mean: float, variance: float) -> float:
     """``E[f(h)]`` for ``h ~ N(mean, variance)``.
 
     Gauss-Hermite with 64 nodes and a 128-node check; exact for polynomials
-    up to degree 127.  When the two rules disagree, falls back to adaptive
-    Gauss-Kronrod on the standardized variable over 15 standard deviations:
-    ~1e-15 absolute for smooth bounded f such as tanh.  Kinks are not
-    located, so a window much narrower than the standard deviation (the
-    hard-tanh gate ``|h| < 1`` at variance ~30 and above) is missed; the 0/1
-    gates use ``Nonlinearity.gaussian_moments`` instead.
+    up to degree 127.  When the two rules disagree (for tanh, from a variance
+    of about 0.5 up), falls back to adaptive Gauss-Kronrod
+    (``scipy.integrate.quad``, imported only then) on the standardized
+    variable over 15 standard deviations: ~1e-15 absolute for smooth bounded
+    f such as tanh.  Kinks are not located, so a window much narrower than
+    the standard deviation (the hard-tanh gate ``|h| < 1`` at variance ~30
+    and above) is missed; the 0/1 gates use ``Nonlinearity.gaussian_moments``
+    instead.
     """
     if not np.isfinite(variance) or variance < 0:
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
@@ -286,6 +288,8 @@ def gauss_hermite_expect(f, mean: float, variance: float) -> float:
 
     def integrand(t: float) -> float:
         return float(f(np.asarray(mean + sd * t))) * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+
+    import scipy.integrate  # here, not at the top: its import would slow every launch, and only quad needs it
 
     with warnings.catch_warnings():
         # tolerance is requested at the roundoff floor; the warning that it

@@ -213,6 +213,5 @@ def test_divergence_exponents_from_log_slopes():
 
 def test_moment_query_validation_and_dispatch():
     assert am.length_variance_theory(Family.RANDOM, TIED, 0.5) == pytest.approx(16.0)
-    assert am.gram_trace_factor_theory("goe", "tied", 0.125) == pytest.approx(4 * math.sqrt(2) - 4)
     with pytest.raises(am.CriticalScaleError):
         am.variance_factor_theory(Family.GOE, TIED, 0.25)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.special
 
 from deqlab import nonlinear_deq as nl
 from deqlab import numerics
@@ -72,17 +74,28 @@ class TestSigmaHSelfConsistent:
     @pytest.mark.parametrize(
         "phi, sqrt_v",
         [(phi, sq) for phi in (HARD_TANH, TANH) for sq in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2, 2.0, 6.0)]
-        + [(IDENTITY, sq) for sq in (0.1, 0.5, 0.9, 0.99, 0.999, 0.99999)],
+        + [(IDENTITY, sq) for sq in (0.1, 0.5, 0.9, 0.99, 0.999, 0.99999)]
+        + [(phi, 0.0) for phi in (HARD_TANH, TANH, IDENTITY)],
         ids=lambda p: getattr(p, "name", str(p)),
     )
-    def test_root_solves_the_equation(self, phi, sqrt_v):
+    def test_root_solves_the_equation(self, phi, sqrt_v, monkeypatch):
         v = sqrt_v * sqrt_v
-        s = nl.sigma_h_selfconsistent(v, phi).sigma_h_sq
+        brackets = []
+        port = nl._brentq
+        monkeypatch.setattr(nl, "_brentq", lambda f, lo, hi: brackets.append((f, lo, hi)) or port(f, lo, hi))
+        state = nl.sigma_h_selfconsistent(v, phi)
+        s = state.sigma_h_sq
         if phi.gaussian_moments:
             second = phi.gaussian_moments(s)[0]
         else:
             second = numerics.gauss_hermite_expect(lambda h: phi.phi(h) ** 2, 0.0, s)
         assert abs(s - v * (second + nl.SIGMA_X_SQ)) <= 1e-13 * max(1.0, s)
+        # the ported Brent root is scipy's, bit for bit, and so is its iteration count
+        ((excess, lo, hi),) = brackets
+        root, info = scipy.optimize.brentq(excess, lo, hi, xtol=1e-300, full_output=True)
+        assert s == root
+        # at V = 0 the bracket's end is the root: no iteration is taken, and scipy leaves its count unset
+        assert state.iterations == (0 if v == 0.0 else info.iterations)
 
     def test_hardtanh_small_scale_is_linear(self):
         state = nl.sigma_h_selfconsistent(0.01, HARD_TANH)
@@ -119,6 +132,13 @@ class TestGaussianMoments:
         sq, gate = HARD_TANH.gaussian_moments(s)
         assert abs(sq - quad_expect(lambda h: min(h * h, 1.0), s)) <= 1e-12
         assert abs(gate - quad_expect(lambda h: float(abs(h) < 1.0), s)) <= 1e-12
+
+    # the series for E[h^2; |h| < 1] serves s > 1/2, the erf form the rest
+    @pytest.mark.parametrize("s", [*np.logspace(-6, 32, 39), 0.5 * (1 - 1e-15), 0.5, 0.5 * (1 + 1e-15)])
+    def test_hard_tanh_matches_the_incomplete_gamma_form(self, s):
+        s = float(s)
+        reference = s * float(scipy.special.gammainc(1.5, 1.0 / (2.0 * s))) + math.erfc(1.0 / math.sqrt(2.0 * s))
+        assert HARD_TANH.gaussian_moments(s)[0] == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("s", [1e28, 1e29, 1e30, 1e31, 1e32])
     def test_hard_tanh_far_tail_does_not_cancel(self, s):
