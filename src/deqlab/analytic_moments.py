@@ -143,7 +143,7 @@ def goe_tied_asymptotic(delta: float) -> float:
     the ratio integral/asymptotic equals ``(1 - delta/2)^{-5/2} -> 1`` as
     delta -> 0.  The coefficient 2^{-5/2} follows from the edge integral
     ``(1/(2 pi)) * integral_0^inf sqrt(y) (1+y)^{-4} dy = 1/32`` after
-    rescaling; see the decisions ledger for the provenance note.
+    rescaling.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")

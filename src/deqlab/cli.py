@@ -183,11 +183,11 @@ def write_csv(path: Path, rows: list[ResultRow]) -> None:
 
 
 def _environment() -> dict:
-    """Cores, BLAS build, BLAS thread variables (None if unset) and versions."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """Cores, numpy's and scipy's BLAS builds (LAPACK runs on scipy's), BLAS thread variables (None if unset), versions."""
+    blas = {lib.__name__: lib.show_config(mode="dicts")["Build Dependencies"]["blas"] for lib in (np, scipy)}
     return {
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {lib: {"name": b.get("name"), "version": b.get("version")} for lib, b in blas.items()},
         "blas_threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "versions": {"numpy": np.__version__, "scipy": scipy.__version__, "python": ".".join(map(str, sys.version_info[:3]))},
     }

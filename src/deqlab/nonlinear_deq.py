@@ -88,7 +88,8 @@ class SelfConsistentState:
 
     ``p_active`` is the mean derivative gate E[phi'(h)] under
     ``h ~ N(0, sigma_h^2)`` (the active-set probability for hard-tanh);
-    ``iterations`` counts the root finder's steps.
+    ``iterations`` counts the bisection's halvings (0 when the excess at
+    V sigma_x^2 is already >= 0, as at V = 0).
     """
 
     sigma_h_sq: float
@@ -120,10 +121,11 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
 
     Models ``h_i ~ N(0, s)`` with inputs of coordinate variance SIGMA_X_SQ
     and finds the root of ``excess(s) = s - V (E[phi(h)^2] + SIGMA_X_SQ)``
-    with Brent's method (Brent 1973).  The bracket starts at V SIGMA_X_SQ,
-    where the excess is -V E[phi^2] <= 0, and doubles until the excess is
-    >= 0; past 1e12 max(1, V) there is no bounded root.  The 0/1 gates read
-    their Gaussian moments in closed form; other maps go through quadrature.
+    by bisection.  The bracket starts at V SIGMA_X_SQ, where the excess is
+    -V E[phi^2] <= 0, and doubles until the excess is >= 0; past
+    1e12 max(1, V) there is no bounded root.  About 50 halvings then narrow
+    it to 4 eps times its lower end.  The 0/1 gates read their Gaussian
+    moments in closed form; other maps go through quadrature.
     """
     if v < 0:
         raise ValueError("scale must be >= 0")
@@ -138,60 +140,23 @@ def sigma_h_selfconsistent(v: float, phi: Nonlinearity) -> SelfConsistentState:
         lo, hi = hi, 2.0 * hi
         if hi > 1e12 * max(1.0, v) or math.isinf(hi):
             raise SelfConsistencyError(f"no self-consistent variance below {hi:.3g} at V={v}")
-    s, iterations = _brentq(excess, lo, hi)
+    s, halvings = _bisect(excess, lo, hi, 4.0 * np.finfo(float).eps * lo)
     p = closed(s)[1] if closed else numerics.gauss_hermite_expect(phi.dphi, 0.0, s)
-    return SelfConsistentState(s, p, iterations)
+    return SelfConsistentState(s, p, halvings)
 
 
-_BRENT_XTOL = 1e-300  # negligible: the relative tolerance, 4 eps, stops the search at any scale
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAXITER = 100
-
-
-def _brentq(f, xa: float, xb: float) -> tuple[float, int]:
-    """Root of f on [xa, xb] and the iterations taken, by Brent's method (Brent 1973).
-
-    A line-for-line port of scipy's ``brentq.c``, so it returns the root and the
-    iteration count of ``scipy.optimize.brentq(f, xa, xb, xtol=1e-300, full_output=True)``
-    bit for bit, without importing ``scipy.optimize``, which would slow every launch.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:  # an endpoint root takes no iteration (scipy leaves its count unset here)
-        return xpre, 0
-    if fcur == 0:
-        return xcur, 0
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for i in range(1, _BRENT_MAXITER + 1):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, i
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
+def _bisect(f, lo: float, hi: float, width: float) -> tuple[float, int]:
+    """Midpoint of ``[lo, hi]``, ``f(lo) < 0 <= f(hi)``, halved to at most ``width`` wide, and the
+    halvings taken; ``0.5 * lo + 0.5 * hi`` rounds as ``0.5 * (lo + hi)`` but cannot overflow."""
+    halvings = 0
+    while hi - lo > width:
+        mid = 0.5 * lo + 0.5 * hi
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        halvings += 1
+    return 0.5 * lo + 0.5 * hi, halvings
 
 
 def radius_theory(family: Family, v: float, phi: Nonlinearity, sigma_h_sq: float) -> float:
@@ -307,13 +272,7 @@ def predict_critical_v(
             f"radius does not cross 1 on the bracket {bracket}: "
             f"excess({lo})={f_lo:.3f}, excess({hi})={f_hi:.3f}"
         )
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(excess, lo, hi, 1e-4)[0]
 
 
 def residual_sweep(
