@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from .numerics import SingularMatrixError
 
@@ -104,27 +105,34 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
     QR of a standard Gaussian draw, with each column of Q multiplied by the
     sign of the corresponding diagonal entry of R.  The sign correction is
-    required for exact Haar measure; the raw QR factor is biased.
+    required for exact Haar measure; the raw QR factor is biased.  LAPACK
+    geqrf and orgqr get their queried workspace (scipy's default of N doubles
+    runs orgqr unblocked), and Q is C-ordered: later products' bits depend on
+    the layout.
     """
-    a = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
+    lapack = scipy.linalg.lapack
+    qr, tau = lapack.dgeqrf(rng.standard_normal((dim, dim)), lwork=int(lapack.dgeqrf_lwork(dim, dim)[0]), overwrite_a=1)[:2]
+    d = np.sign(np.diag(qr))  # the diagonal of R
     d[d == 0] = 1.0
-    return q * d[np.newaxis, :]
+    lwork = int(lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
+    return np.multiply(lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0], d, order="C")
 
 
 def sample(spec: EnsembleSpec, seed: SeedDerivation) -> np.ndarray:
-    """Draw one matrix from the ensemble. Pure in (spec, seed)."""
+    """Draw one matrix from the ensemble. Pure in (spec, seed); the caller owns the fresh array."""
     rng = seed.generator()
     n, v = spec.dim, spec.scale
     if spec.family is Family.ORTHOGONAL:
-        return np.sqrt(v) * haar_orthogonal(n, rng)
+        q = haar_orthogonal(n, rng)
+        return np.multiply(q, np.sqrt(v), out=q)
     a = rng.standard_normal((n, n))
     if spec.family is Family.RANDOM:
-        return a * np.sqrt(v / n)
+        return np.multiply(a, np.sqrt(v / n), out=a)
     # GOE: mirror the strict upper triangle, separate diagonal scaling.
     # Symmetrizing a full draw instead would halve the off-diagonal variance.
-    w = np.triu(a, 1) * np.sqrt(v / n)
-    w = w + w.T
-    np.fill_diagonal(w, np.diag(a) * np.sqrt(2.0 * v / n))
+    diag = np.diag(a) * np.sqrt(2.0 * v / n)
+    upper = np.triu(a, 1)
+    upper *= np.sqrt(v / n)
+    w = np.add(upper, upper.T, out=a)
+    np.fill_diagonal(w, diag)
     return w

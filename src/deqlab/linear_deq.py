@@ -118,8 +118,9 @@ def length_variance(spec: EnsembleSpec, mode: WeightMode, seed: SeedDerivation, 
     if mode is WeightMode.UNTIED:
         m = untied_propagator(spec, seed, untied_truncation_depth(spec.scale))
         gram = m.T @ m
-        return float(np.sum(gram * gram)) / spec.dim
-    a = np.eye(spec.dim) - sample(spec, seed)
+        return float(np.sum(np.square(gram, out=gram))) / spec.dim
+    w = sample(spec, seed)
+    a = np.subtract(np.eye(spec.dim), w, out=w)  # I - W in the draw's buffer
     if estimator == "exact":
         return numerics.gram_inverse_sq_trace(a)
     return numerics.gram_inverse_sq_trace_hutchinson(a, seed.child(10_001).generator())[0]

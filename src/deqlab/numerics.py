@@ -156,7 +156,7 @@ def gram_inverse_sq_trace(a: np.ndarray) -> float:
     lu, piv = _lu_factor_checked(a)
     inv = scipy.linalg.lapack.dgetri(lu, piv, lwork=int(scipy.linalg.lapack.dgetri_lwork(n)[0]), overwrite_lu=1)[0]
     gram_inv = inv @ inv.T
-    return float(np.sum(gram_inv * gram_inv) / n)
+    return float(np.sum(np.square(gram_inv, out=gram_inv)) / n)
 
 
 def gram_inverse_sq_trace_hutchinson(a: np.ndarray, rng: np.random.Generator, n_probes: int = 32) -> tuple[float, float]:
@@ -221,10 +221,11 @@ def spectral_radius_estimate(m: np.ndarray, tol: float = 1e-3) -> float:
     min_power = 16.0 * n
     prev = np.inf
     for _ in range(60):
-        est = np.exp((log_scale + _log_two_norm(b)) / power)
-        if power >= min_power and abs(est - prev) <= tol * max(est, 0.1):
-            return float(est)
-        prev = est
+        if 2.0 * power >= min_power:  # the stop rule reads no earlier estimate
+            est = np.exp((log_scale + _log_two_norm(b)) / power)
+            if power >= min_power and abs(est - prev) <= tol * max(est, 0.1):
+                return float(est)
+            prev = est
         b = b @ b
         c = float(np.linalg.norm(b, "fro"))
         if c == 0.0:  # nilpotent to machine precision

@@ -252,7 +252,7 @@ class TestCliRuns:
         env = json.loads(out.with_suffix(".csv.manifest.json").read_text())["environment"]
         assert set(env) == {"nproc", "blas", "blas_threads", "versions"}
         assert isinstance(env["nproc"], int) and env["nproc"] >= 1
-        # numpy and scipy each carry their own BLAS; LAPACK (getrf, getrs, getri) runs on scipy's
+        # numpy and scipy each carry their own BLAS; LAPACK (getrf, getrs, getri, geqrf, orgqr) runs on scipy's
         assert set(env["blas"]) == {"numpy", "scipy"}
         assert all(set(build) == {"name", "version"} and build["version"] for build in env["blas"].values())
         assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}

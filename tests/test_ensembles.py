@@ -98,6 +98,31 @@ def test_haar_sign_correction_mixes_reflections():
     assert len(set(dets)) == 2
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_sample_returns_a_fresh_c_ordered_array(family):
+    # callers such as linear_deq.length_variance overwrite the draw in place
+    spec = EnsembleSpec(family, 30, 0.5)
+    seed = seed_for(4, family, 0, 0)
+    a, b = sample(spec, seed), sample(spec, seed)
+    for w in (a, b):
+        assert w.dtype == np.float64 and w.shape == (30, 30)
+        assert w.flags.c_contiguous and w.flags.writeable and w.flags.owndata
+    assert not np.shares_memory(a, b)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_haar_matches_numpy_qr_with_sign_fix(n):
+    # the same Householder QR as numpy's; equal to rounding, not bit for bit,
+    # since numpy and scipy may link different LAPACK builds
+    q = haar_orthogonal(n, SeedDerivation(12, (n,)).generator())
+    ref_q, ref_r = np.linalg.qr(SeedDerivation(12, (n,)).generator().standard_normal((n, n)))
+    d = np.sign(np.diag(ref_r))
+    d[d == 0] = 1.0
+    assert q.flags.c_contiguous
+    assert np.abs(q - ref_q * d).max() <= 1e-13
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         EnsembleSpec(Family.RANDOM, 0, 1.0)

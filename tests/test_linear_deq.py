@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,35 @@ class TestEstimateLengthVariance:
 
         noisy = _over_draws(hutchinson_64, spec, 8)
         assert summarize(noisy).mean == pytest.approx(summarize(exact).mean, rel=0.15)
+
+    @pytest.mark.parametrize("estimator", ["exact", "hutchinson"])
+    def test_leaves_earlier_draws_unchanged(self, estimator):
+        # the draw is overwritten with I - W inside; a caller's own draw of
+        # the same seed is a separate array
+        spec = EnsembleSpec(Family.ORTHOGONAL, 80, 0.3)
+        seed = seed_for(9, Family.ORTHOGONAL, 0, 0)
+        w = sample(spec, seed)
+        before = w.copy()
+        ld.length_variance(spec, TIED, seed, estimator)
+        assert np.array_equal(w, before)
+        assert np.array_equal(sample(spec, seed), before)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_tied_exact_draw_holds_three_square_arrays(self, family):
+        # the draw, the LU inverse and its gram: I - W, the scaling and the
+        # squares are formed in place.  tracemalloc sees numpy's buffers.
+        n = 300
+        spec = EnsembleSpec(family, n, 0.16)
+        ld.length_variance(spec, TIED, seed_for(3, family, 0, 0))  # warm caches and imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ld.length_variance(spec, TIED, seed_for(3, family, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3.2 * n * n * 8
 
     def test_truncation_depth(self):
         assert ld.untied_truncation_depth(0.5) == 20

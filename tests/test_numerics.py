@@ -15,6 +15,30 @@ def _affine_step(a):
     return lambda x, rows: (a[rows, None] if np.ndim(a) else a) * x + 1.0
 
 
+def _radius_every_squaring(m, tol):
+    """Reference: spectral_radius_estimate as written before it skipped
+    unread norms, with an estimate after every squaring."""
+    n = m.shape[0]
+    norm = float(np.linalg.norm(m, 2)) if n <= 2 else float(np.linalg.norm(m, "fro"))
+    if norm == 0.0:
+        return 0.0
+    b = m / norm
+    log_scale, power, prev = np.log(norm), 1.0, np.inf
+    for _ in range(60):
+        est = np.exp((log_scale + numerics._log_two_norm(b)) / power)
+        if power >= 16.0 * n and abs(est - prev) <= tol * max(est, 0.1):
+            return float(est)
+        prev = est
+        b = b @ b
+        c = float(np.linalg.norm(b, "fro"))
+        if c == 0.0:
+            return 0.0
+        b /= c
+        log_scale = 2.0 * log_scale + np.log(c)
+        power *= 2.0
+    return float(prev)
+
+
 class TestFixedPoint:
     n = 4
 
@@ -182,6 +206,14 @@ class TestGramInverseSqTrace:
         with pytest.raises(numerics.SingularMatrixError):
             numerics.gram_inverse_sq_trace(a)
 
+    def test_leaves_its_argument_unchanged(self):
+        n = 300
+        a = np.eye(n) - sample(EnsembleSpec(Family.GOE, n, 0.1), seed_for(7, Family.GOE, 0, 0))
+        for given in (a, np.asfortranarray(a)):
+            before = given.copy()
+            numerics.gram_inverse_sq_trace(given)
+            assert np.array_equal(given, before)
+
     def test_hutchinson_agrees_within_three_sigma(self):
         n = 500
         w = sample(EnsembleSpec(Family.RANDOM, n, 0.4), seed_for(2, Family.RANDOM, 0, 0))
@@ -258,6 +290,26 @@ class TestSpectralRadius:
         jac = w * gates[None, :]
         direct = float(np.abs(np.linalg.eigvals(jac)).max())
         assert abs(numerics.spectral_radius_estimate(jac) - direct) <= 1e-3 * direct
+
+    @pytest.mark.parametrize("case", ["random", "orthogonal-block", "nilpotent", "rotation-projection", "2x2"])
+    def test_equals_the_estimate_taken_after_every_squaring(self, case):
+        # the estimator skips the norms its stop rule never reads; the result
+        # stays bit for bit that of the loop that took them all
+        n = 120
+        rng = np.random.default_rng(31)
+        q = sample(EnsembleSpec(Family.ORTHOGONAL, n, 1.0), seed_for(31, Family.ORTHOGONAL, 0, 0))
+        if case == "random":
+            m = sample(EnsembleSpec(Family.RANDOM, n, 0.5), seed_for(31, Family.RANDOM, 0, 0))
+        elif case == "orthogonal-block":
+            m = 0.8 * q[:60, :60]
+        elif case == "nilpotent":
+            m = np.triu(rng.standard_normal((n, n)), 1)
+        elif case == "rotation-projection":
+            m = 0.9 * q * (rng.random(n) < 0.5)[None, :]
+        else:
+            m = np.array([[0.5, 3.0], [0.0, -0.4]])
+        for tol in (1e-3, 1e-6):
+            assert numerics.spectral_radius_estimate(m, tol) == _radius_every_squaring(m, tol)
 
     def test_nonfinite_rejected(self):
         m = np.eye(2)
