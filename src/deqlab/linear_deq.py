@@ -94,7 +94,8 @@ def variance_factor(spec: EnsembleSpec, mode: WeightMode, seed: SeedDerivation) 
     x = np.ones(spec.dim)
     xx = float(x @ x)
     if mode is WeightMode.TIED:
-        z = solve_closed_form(sample(spec, seed), x)
+        w = sample(spec, seed)
+        z = numerics.solve_linear(np.subtract(np.eye(spec.dim), w, out=w), x)  # I - W in the draw's buffer
     else:
         z = iterate_untied(spec, x, untied_truncation_depth(spec.scale), seed)
     return (float(z @ z) - xx) / xx if np.all(np.isfinite(z)) else None

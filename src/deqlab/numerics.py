@@ -6,6 +6,7 @@ hold no shared state, so callers may run them concurrently on disjoint data.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -100,12 +101,26 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
+def _square_finite(a, min_dim: int = 1) -> np.ndarray:
+    """a as a float array if it is a finite square matrix of size at least min_dim, else ValueError."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < min_dim:
+        raise ValueError(f"expected a square matrix of size >= {min_dim}, got shape {a.shape}")
+    _require_finite(a, "matrix")
+    return a
+
+
+def _raise_if_singular(r: np.ndarray) -> None:
+    """Singular-to-tolerance test on the diagonal of a triangular factor (LU's U or QR's R)."""
+    diag = np.abs(np.diag(r))
+    if diag.min() <= r.shape[0] * np.finfo(float).eps * diag.max():
+        raise SingularMatrixError("matrix is singular to working precision")
+
+
 def _lu_factor_checked(a: np.ndarray):
     """LU with partial pivoting (LAPACK getrf), raising on singular-to-tolerance input."""
-    lu, piv, _ = scipy.linalg.lapack.dgetrf(a)  # an exactly zero pivot (info > 0) fails the test below
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= a.shape[0] * np.finfo(float).eps * diag.max():
-        raise SingularMatrixError("matrix is singular to working precision")
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(a)  # an exactly zero pivot (info > 0) fails the check
+    _raise_if_singular(lu)
     return lu, piv
 
 
@@ -144,19 +159,19 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gram_inverse_sq_trace(a: np.ndarray) -> float:
-    """``(1/N) tr[((A^T A))^{-2}] = (1/N) sum_i sigma_i^{-4}`` exactly.
-
-    Computed as the squared Frobenius norm of ``A^{-1} A^{-T}``, from one LU and
-    its blocked inverse (LAPACK getri) instead of a full SVD.  getri gets the queried
-    optimal workspace: scipy's default of a few N doubles runs the slower unblocked inverse.
+    """``(1/N) tr[((A^T A))^{-2}] = (1/N) sum_i sigma_i^{-4}`` exactly, without an SVD:
+    the squared Frobenius norm of ``(A A^T)^{-1} = (R^T R)^{-1}``, with R from the QR
+    of ``A^T`` (LAPACK geqrf at its queried workspace; for C-ordered A an F-ordered
+    view), inverted in place by potri into its upper triangle.
     """
-    a = np.asarray(a, dtype=float)
-    _require_finite(a, "matrix")
+    a = _square_finite(a)
     n = a.shape[0]
-    lu, piv = _lu_factor_checked(a)
-    inv = scipy.linalg.lapack.dgetri(lu, piv, lwork=int(scipy.linalg.lapack.dgetri_lwork(n)[0]), overwrite_lu=1)[0]
-    gram_inv = inv @ inv.T
-    return float(np.sum(np.square(gram_inv, out=gram_inv)) / n)
+    r = scipy.linalg.lapack.dgeqrf(a.T, lwork=int(scipy.linalg.lapack.dgeqrf_lwork(n, n)[0]))[0]
+    _raise_if_singular(r)
+    g = scipy.linalg.lapack.dpotri(r, overwrite_c=1)[0]
+    np.copyto(g, 0.0, where=np.tri(n, k=-1, dtype=bool))  # the strict lower triangle holds QR's reflectors
+    np.square(g, out=g)
+    return float((2.0 * np.sum(g) - np.trace(g)) / n)
 
 
 def gram_inverse_sq_trace_hutchinson(a: np.ndarray, rng: np.random.Generator, n_probes: int = 32) -> tuple[float, float]:
@@ -167,7 +182,7 @@ def gram_inverse_sq_trace_hutchinson(a: np.ndarray, rng: np.random.Generator, n_
     is the sample stderr over probes.  Estimator variance is
     ``2 * (||B^2||_F^2 - sum_i (B^2)_ii^2)`` per probe.
     """
-    a = np.asarray(a, dtype=float)
+    a = _square_finite(a)
     if n_probes < 2:
         raise ValueError("need at least 2 probes to report a standard error")
     n = a.shape[0]
@@ -187,8 +202,7 @@ def sym_spectrum(s: np.ndarray) -> np.ndarray:
 
     Rejects input whose asymmetry exceeds ``1e-12 * max(1, max|S|)``.
     """
-    s = np.asarray(s, dtype=float)
-    _require_finite(s, "matrix")
+    s = _square_finite(s, min_dim=0)
     scale = float(np.abs(s).max(initial=1.0))
     if float(np.abs(s - s.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to tolerance")
@@ -207,11 +221,8 @@ def spectral_radius_estimate(m: np.ndarray, tol: float = 1e-3) -> float:
     requires successive estimates to agree to ``tol * max(rho, 0.1)``, within
     60 squarings.  The estimate approaches the radius from above.
     """
-    m = np.asarray(m, dtype=float)
-    _require_finite(m, "matrix")
+    m = _square_finite(m, min_dim=0)
     n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     norm = float(np.linalg.norm(m, 2)) if n <= 2 else float(np.linalg.norm(m, "fro"))
     if norm == 0.0:
         return 0.0
@@ -250,13 +261,9 @@ def _log_two_norm(b: np.ndarray) -> float:
     return 0.5 * np.log(s)
 
 
-_HERMGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _HERMGAUSS_CACHE:
-        _HERMGAUSS_CACHE[n] = np.polynomial.hermite.hermgauss(n)
-    return _HERMGAUSS_CACHE[n]
+    return np.polynomial.hermite.hermgauss(n)
 
 
 def gauss_hermite_expect(f, mean: float, variance: float) -> float:

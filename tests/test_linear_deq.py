@@ -32,6 +32,24 @@ def _length_variances(spec, mode, n_seeds):
     return _over_draws(functools.partial(ld.length_variance, spec, mode), spec, n_seeds)
 
 
+def _draw_peak_in_squares(measure, family):
+    """tracemalloc peak of one tied ``measure(spec, TIED, seed)`` draw at N=300,
+    minus the memory traced before it, in N x N float64 arrays.  tracemalloc
+    sees numpy's buffers."""
+    n = 300
+    spec = EnsembleSpec(family, n, 0.16)
+    measure(spec, TIED, seed_for(3, family, 0, 0))  # warm caches and imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        measure(spec, TIED, seed_for(3, family, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / (n * n * 8)
+
+
 class TestSolveClosedForm:
     def test_zero_weights(self):
         x = _x(20)
@@ -157,6 +175,11 @@ class TestEstimateMoments:
         assert theory == pytest.approx(4 * math.sqrt(2) - 5)
         assert abs(stats.mean - theory) < 3 * stats.stderr
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_tied_draw_holds_two_square_arrays(self, family):
+        # I - W in the draw's buffer and the LU copy of it
+        assert _draw_peak_in_squares(ld.variance_factor, family) <= 2.3
+
     def test_untied_matches_tied_for_random(self):
         spec = EnsembleSpec(Family.RANDOM, 400, 0.4)
         stats = summarize(_variance_factors(spec, UNTIED, 40))
@@ -244,21 +267,10 @@ class TestEstimateLengthVariance:
         assert np.array_equal(sample(spec, seed), before)
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_tied_exact_draw_holds_three_square_arrays(self, family):
-        # the draw, the LU inverse and its gram: I - W, the scaling and the
-        # squares are formed in place.  tracemalloc sees numpy's buffers.
-        n = 300
-        spec = EnsembleSpec(family, n, 0.16)
-        ld.length_variance(spec, TIED, seed_for(3, family, 0, 0))  # warm caches and imports
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            ld.length_variance(spec, TIED, seed_for(3, family, 0, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before <= 3.2 * n * n * 8
+    def test_tied_exact_draw_holds_two_square_arrays(self, family):
+        # I - W in the draw's buffer and the QR copy that becomes the inverse
+        # gram; the scaling and the squares are formed in place.
+        assert _draw_peak_in_squares(ld.length_variance, family) <= 2.3
 
     def test_truncation_depth(self):
         assert ld.untied_truncation_depth(0.5) == 20

@@ -192,7 +192,7 @@ class TestGramInverseSqTrace:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_blocked_inverse_matches_svd(self, family):
-        # N = 300 is above LAPACK's inverse block size, so the blocked getri path runs
+        # N = 300 is above LAPACK's block sizes, so geqrf and potri run their blocked paths
         n = 300
         v = delta_to_scale(family, WeightMode.TIED, 0.05)
         a = np.eye(n) - sample(EnsembleSpec(family, n, v), seed_for(5, family, 0, 0))
@@ -213,6 +213,33 @@ class TestGramInverseSqTrace:
             before = given.copy()
             numerics.gram_inverse_sq_trace(given)
             assert np.array_equal(given, before)
+
+    def test_c_and_f_ordered_input_give_the_same_bits(self):
+        n = 300
+        a = np.eye(n) - sample(EnsembleSpec(Family.RANDOM, n, 0.3), seed_for(8, Family.RANDOM, 0, 0))
+        assert numerics.gram_inverse_sq_trace(a) == numerics.gram_inverse_sq_trace(np.asfortranarray(a))
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [numerics.gram_inverse_sq_trace, lambda a: numerics.gram_inverse_sq_trace_hutchinson(a, np.random.default_rng(0))],
+        ids=["exact", "hutchinson"],
+    )
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.diag([1.0, np.nan, 2.0]), "non-finite"),
+            (np.diag([1.0, np.inf, 2.0]), "non-finite"),
+            (np.ones((3, 2)), "square"),
+            (np.zeros((0, 0)), "square"),
+            (np.ones(3), "square"),
+        ],
+        ids=["nan", "inf", "3x2", "0x0", "vector"],
+    )
+    def test_rejects_bad_input_before_lapack(self, kernel, a, message, capfd):
+        with pytest.raises(ValueError, match=message) as err:
+            kernel(a)
+        assert not isinstance(err.value, numerics.SingularMatrixError)
+        assert capfd.readouterr().err == ""  # LAPACK prints its own complaint about illegal arguments
 
     def test_hutchinson_agrees_within_three_sigma(self):
         n = 500
